@@ -1,5 +1,5 @@
-# Standard pre-merge gate: `make check` runs vet, the full test suite, the
-# race detector over the concurrency-bearing packages (telemetry, service,
+# Standard pre-merge gate: `make check` runs gofmt and vet, the full test
+# suite, the race detector over the concurrency-bearing packages (telemetry, service,
 # client, wire, and the parallel sweep engine in core/pipeline/platforms), a
 # short loadgen smoke that exercises the serving path end-to-end, a wire
 # smoke (binary-vs-JSON equivalence over a live server + decoder fuzz seed
@@ -7,7 +7,9 @@
 # perf/results/), a profiling smoke (bundle capture -> list -> diff
 # through mlaas-profile, SLO watchdog tests under -race), and a cluster
 # smoke (binary predict through the router, kill-one-replica failover,
-# sharded-sweep-equals-serial, and a 2-replica scaling run).
+# sharded-sweep-equals-serial, and a 2-replica scaling run), and a 3 s
+# end-to-end benchmark smoke (benchmarks/run.sh on serve_trees: every op
+# checked against the oracle).
 # CI (.github/workflows/ci.yml) and humans alike should run it before merging.
 
 GO ?= go
@@ -16,12 +18,18 @@ RACE_PKGS := ./internal/telemetry ./internal/service ./internal/client \
 	./internal/wire ./internal/pipeline ./internal/platforms ./internal/store \
 	./internal/profiling ./internal/cluster
 
-.PHONY: all build vet test race check bench bench-quick bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke perf-run perf-compare perf-report
+.PHONY: all build fmt vet test race check bench bench-quick bench-kernels bench-e2e bench-e2e-smoke loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke perf-run perf-compare perf-report
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails on any file gofmt would rewrite (.bench_build/ holds the benchmark's
+# own compiler cache, not source).
+fmt:
+	@out="$$(gofmt -l . | grep -v '^\.bench_build/' || true)"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -36,7 +44,7 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run 'TestParallel|TestSweepCancellation' ./internal/core
 
-check: vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke
+check: fmt vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke bench-e2e-smoke
 
 # A ~2s end-to-end run of the closed-loop load generator against in-process
 # servers: proves upload/train/predict and the refit-vs-forward comparison
@@ -143,3 +151,15 @@ bench-quick:
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkGEMM$$|MLPForwardBatch|KNNPredictBatch' \
 		-benchtime 1x ./internal/linalg ./internal/classifiers
+
+# The repository's end-to-end benchmark (BENCHMARK.json; method and metric
+# definitions in benchmarks/README.md): five workloads, three fresh-process
+# repetitions each, every op checked against an in-process oracle. ~3 min.
+bench-e2e:
+	bash benchmarks/run.sh
+
+# A 3 s pass over one workload: proves the driver still builds against the
+# public functions it drives and that served predictions still match the
+# oracle ("correct": true on the last line). Not a measurement.
+bench-e2e-smoke:
+	bash benchmarks/run.sh --workload serve_trees --seconds 3 | tail -n 1 | grep -q '"correct":true'

@@ -262,13 +262,13 @@ func runOpenLoop(ctx context.Context, url, platform, modelID string, instances [
 	window := d.Seconds()
 	sort.Float64s(latencies)
 	return SaturationPoint{
-		OfferedRPS:  rate,
-		GoodputRPS:  float64(good) / window,
-		ShedRPS:     float64(shed) / window,
-		Requests:    good + late + shed + errs,
-		Good:        good,
-		Late:        late,
-		Dropped:     dropped,
+		OfferedRPS:     rate,
+		GoodputRPS:     float64(good) / window,
+		ShedRPS:        float64(shed) / window,
+		Requests:       good + late + shed + errs,
+		Good:           good,
+		Late:           late,
+		Dropped:        dropped,
 		Shed:           shed,
 		Errors:         errs,
 		DurationSec:    window,

@@ -93,14 +93,16 @@ func (k *KNN) Predict(x [][]float64) []int {
 const knnQueryBlock = 32
 
 // predictEuclidean is the p=2 fast path: query blocks stream through the
-// blocked SquaredEuclideanBatch kernel into a reused buffer, then each
+// blocked SquaredEuclideanBatch kernel into a pooled buffer, then each
 // query's distance row feeds the same bounded-k heap in ascending training
 // index — the kernel is bit-identical to per-pair SquaredEuclidean and the
 // offer order is unchanged, so the selected neighbour set (including index
 // tie-breaks) and the votes match the scalar path exactly.
 func (k *KNN) predictEuclidean(x [][]float64, out []int, h *kHeap, distWeighted bool) {
 	n := k.xm.Rows
-	buf := make([]float64, min(knnQueryBlock, len(x))*n)
+	sp := getScratch(min(knnQueryBlock, len(x)) * n)
+	defer putScratch(sp)
+	buf := *sp
 	for q0 := 0; q0 < len(x); q0 += knnQueryBlock {
 		q1 := min(q0+knnQueryBlock, len(x))
 		qs := x[q0:q1]

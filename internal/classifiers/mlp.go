@@ -221,8 +221,8 @@ func (m *MLP) Fit(x [][]float64, y []int, r *rng.RNG) error {
 
 // mlpRowBlock is how many request rows stream through the batch forward
 // pass at a time: one X tile plus one pre-activation tile stay resident in
-// L2 and are reused for every block, so a request of any size costs two
-// small fixed buffers instead of a full-batch copy.
+// L2 and are reused for every block, so a request of any size works in one
+// small fixed buffer (pooled across calls) instead of a full-batch copy.
 const mlpRowBlock = 128
 
 // Predict implements Classifier. The forward pass is batched: request rows
@@ -252,16 +252,19 @@ func (m *MLP) Predict(x [][]float64) []int {
 	wm := m.weightMatrix()
 	d := wm.Cols
 	blk := min(mlpRowBlock, len(x))
-	xb := linalg.NewMatrix(blk, d)
-	zb := linalg.NewMatrix(blk, hidden)
+	sp := getScratch(blk * (d + hidden))
+	defer putScratch(sp)
+	xt := linalg.Matrix{Cols: d}
+	zt := linalg.Matrix{Cols: hidden}
 	for lo := 0; lo < len(x); lo += blk {
 		hi := min(lo+blk, len(x))
 		rows := hi - lo
-		xt := &linalg.Matrix{Rows: rows, Cols: d, Data: xb.Data[:rows*d]}
+		xt.Rows, xt.Data = rows, (*sp)[:rows*d]
+		zt.Rows, zt.Data = rows, (*sp)[blk*d:blk*d+rows*hidden]
 		for i := lo; i < hi; i++ {
 			copy(xt.Data[(i-lo)*d:(i-lo+1)*d], x[i][:d])
 		}
-		zt := linalg.MulTransBInto(&linalg.Matrix{Rows: rows, Cols: hidden, Data: zb.Data[:rows*hidden]}, xt, wm)
+		linalg.MulTransBInto(&zt, &xt, wm)
 		for r := 0; r < rows; r++ {
 			zi := zt.Row(r)
 			b1 := m.b1[:len(zi)]

@@ -18,7 +18,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -69,10 +68,29 @@ const (
 	CodecBinary Codec = "binary"
 )
 
+// predictWriteBuffer is the transport's per-connection write buffer: one
+// typical predict body — a 64 KiB frame payload (512×16 or 256×32 float64,
+// DefaultPredictBatch rows at the corpus widths) plus its frame header and
+// the HTTP request head — fits whole. net/http copies a request body into
+// this buffer first; only what does not fit falls through to the socket's
+// generic ReadFrom, which allocates a fresh staging buffer of up to 32 KiB
+// on every request. At the stdlib default of 4 KiB that was every binary
+// predict. The cost is the buffer itself, once per pooled connection.
+const predictWriteBuffer = 68 << 10
+
+// maxPooledResponse caps the response buffers doRaw recycles: a buffer is
+// presized from Content-Length only up to this (past it the buffer grows
+// with the bytes that actually arrive, so a lying header cannot make the
+// client allocate), and one that grew past it is dropped instead of pooled.
+const maxPooledResponse = 1 << 20
+
+var respPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // NewTransport returns the tuned *http.Transport the client dials with by
-// default: keep-alives on, a deep per-host idle pool, and an idle timeout
-// that outlives request gaps within a sweep. Callers needing proxies or
-// TLS settings can mutate the result before installing it WithTransport.
+// default: keep-alives on, a deep per-host idle pool, an idle timeout that
+// outlives request gaps within a sweep, and a write buffer sized to a
+// predict body. Callers needing proxies or TLS settings can mutate the
+// result before installing it WithTransport.
 func NewTransport() *http.Transport {
 	t := &http.Transport{
 		Proxy:                 http.ProxyFromEnvironment,
@@ -82,6 +100,7 @@ func NewTransport() *http.Transport {
 		IdleConnTimeout:       DefaultIdleConnTimeout,
 		TLSHandshakeTimeout:   10 * time.Second,
 		ExpectContinueTimeout: time.Second,
+		WriteBufferSize:       predictWriteBuffer,
 	}
 	return t
 }
@@ -314,7 +333,9 @@ func (c *Client) do(ctx context.Context, op, method, path string, body, out any)
 // rate-limit waits as siblings. A 503 carrying Retry-After raises the next
 // backoff sleep to at least the server's hint — shed requests return when
 // the admission queue says to, not sooner. Error bodies are always the
-// JSON envelope regardless of codec; decode only ever sees 2xx bodies.
+// JSON envelope regardless of codec; decode only ever sees 2xx bodies, in a
+// pooled buffer that is recycled when doRaw returns — decode must copy out
+// whatever it keeps (json.Unmarshal and wire.DecodeLabelsStream both do).
 func (c *Client) doRaw(ctx context.Context, op, method, path, contentType, accept string, payload []byte, decode func([]byte) error) (err error) {
 	httpc := c.HTTPClient
 	if httpc == nil {
@@ -349,6 +370,13 @@ func (c *Client) doRaw(ctx context.Context, op, method, path, contentType, accep
 	defer func() {
 		rpc.SetError(err)
 		rpc.End()
+	}()
+
+	body := respPool.Get().(*bytes.Buffer)
+	defer func() {
+		if body.Cap() <= maxPooledResponse {
+			respPool.Put(body)
+		}
 	}()
 
 	var lastErr error
@@ -414,12 +442,17 @@ func (c *Client) doRaw(ctx context.Context, op, method, path, contentType, accep
 			lastErr = fmt.Errorf("client: %s %s (request %s): %w", method, path, reqID, err)
 			continue
 		}
-		data, err := io.ReadAll(resp.Body)
+		body.Reset()
+		if n := resp.ContentLength; n > 0 && n <= maxPooledResponse {
+			body.Grow(int(n))
+		}
+		_, err = body.ReadFrom(resp.Body)
 		_ = resp.Body.Close()
 		if err != nil {
 			lastErr = fmt.Errorf("client: read response (request %s): %w", reqID, err)
 			continue
 		}
+		data := body.Bytes()
 		if resp.StatusCode >= 300 {
 			var env struct {
 				Error string `json:"error"`
@@ -510,11 +543,12 @@ func (c *Client) Predict(ctx context.Context, platform, modelID string, instance
 // back. The frame body is assembled in a pooled buffer and retries resend
 // it verbatim.
 func (c *Client) predictWire(ctx context.Context, platform, modelID string, instances [][]float64, chunk int) ([]int, error) {
-	payload := wire.EncodeMatrixStream(wire.GetBuffer(), instances, chunk)
+	payload := wire.GetBuffer()
 	defer wire.PutBuffer(payload)
+	*payload = wire.EncodeMatrixStream(*payload, instances, chunk)
 	var labels []int
 	err := c.doRaw(ctx, "predict", http.MethodPost, predictPath(platform, modelID),
-		wire.ContentType, wire.ContentType, payload, func(data []byte) error {
+		wire.ContentType, wire.ContentType, *payload, func(data []byte) error {
 			var err error
 			labels, err = wire.DecodeLabelsStream(bytes.NewReader(data))
 			return err

@@ -70,7 +70,7 @@ func (t *ProgressTracker) Snapshot() ProgressSnapshot {
 func (s ProgressSnapshot) Line() string {
 	eta := "?"
 	if s.EtaSeconds >= 0 {
-		eta = (time.Duration(s.EtaSeconds*float64(time.Second))).Round(time.Second).String()
+		eta = (time.Duration(s.EtaSeconds * float64(time.Second))).Round(time.Second).String()
 	}
 	return fmt.Sprintf("sweep %d/%d units (%.0f%%)  %.2f units/s  eta %s",
 		s.DoneUnits, s.TotalUnits, s.Percent, s.UnitsPerSec, eta)

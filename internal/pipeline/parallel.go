@@ -54,7 +54,10 @@ func ShardCount(rows, shards int) int {
 // byte-identical to predict(points) at any shard count (asserted by
 // TestParallelPredictMatchesSerial); with one shard it IS the serial call.
 // predict must be safe for concurrent read-only use, which every fitted
-// classifier's Predict is.
+// classifier's Predict is. Every shard goroutine is joined before the
+// function returns: callers hand in rows they reuse straight afterwards
+// (the predict handler's pooled frame buffers), so no shard may still be
+// reading points once the labels are back.
 func PredictSharded(predict func([][]float64) []int, points [][]float64, shards int) []int {
 	n := len(points)
 	ns := ShardCount(n, shards)

@@ -72,14 +72,14 @@ func TestPredictShardsContext(t *testing.T) {
 
 func TestShardCount(t *testing.T) {
 	cases := []struct{ rows, shards, want int }{
-		{0, 4, 1},       // empty batch never splits
-		{1, 4, 1},       // nor does a single row
-		{16, 4, 1},      // one minRowsPerShard quantum → serial
-		{17, 4, 2},      // just over one quantum
-		{1000, 4, 4},    // plenty of rows: requested count wins
-		{1000, 1, 1},    // explicit serial
-		{40, 1000, 3},   // capped at ceil(rows/minRowsPerShard)
-		{-5, 3, 1},      // nonsense row counts degrade to serial
+		{0, 4, 1},     // empty batch never splits
+		{1, 4, 1},     // nor does a single row
+		{16, 4, 1},    // one minRowsPerShard quantum → serial
+		{17, 4, 2},    // just over one quantum
+		{1000, 4, 4},  // plenty of rows: requested count wins
+		{1000, 1, 1},  // explicit serial
+		{40, 1000, 3}, // capped at ceil(rows/minRowsPerShard)
+		{-5, 3, 1},    // nonsense row counts degrade to serial
 	}
 	for _, c := range cases {
 		if got := ShardCount(c.rows, c.shards); got != c.want {

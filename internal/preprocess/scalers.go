@@ -335,10 +335,20 @@ func width(x [][]float64) int {
 	return len(x[0])
 }
 
+// copyRows deep-copies x into one flat backing array (two allocations
+// whatever the row count; a scaler runs it on every predict). Each row is
+// capped at its length, so appending to one cannot reach the next.
 func copyRows(x [][]float64) [][]float64 {
+	total := 0
+	for _, row := range x {
+		total += len(row)
+	}
+	flat := make([]float64, total)
 	out := make([][]float64, len(x))
 	for i, row := range x {
-		out[i] = append([]float64(nil), row...)
+		out[i] = flat[:len(row):len(row)]
+		copy(out[i], row)
+		flat = flat[len(row):]
 	}
 	return out
 }

@@ -281,3 +281,31 @@ func TestQuickScalersFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCopyRowsFlatBacking: the copy every scaler's Transform starts from is
+// two allocations whatever the row count (it was one per row), each row is
+// capped at its own length so an append cannot spill into its neighbour,
+// and ragged input keeps its shape.
+func TestCopyRowsFlatBacking(t *testing.T) {
+	x := make([][]float64, 256)
+	for i := range x {
+		x[i] = make([]float64, 32)
+		for j := range x[i] {
+			x[i][j] = float64(i*32 + j)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { copyRows(x) }); n != 2 {
+		t.Errorf("copyRows of 256 rows allocates %v times, want 2", n)
+	}
+	ragged := [][]float64{{1, 2, 3}, {}, {4}, {5, 6}}
+	out := copyRows(ragged)
+	for i, row := range out {
+		if len(row) != len(ragged[i]) || cap(row) != len(row) {
+			t.Fatalf("row %d: len %d cap %d, want %d and %d", i, len(row), cap(row), len(ragged[i]), len(ragged[i]))
+		}
+	}
+	out[0] = append(out[0], 99)
+	if out[2][0] != 4 || ragged[0][0] != 1 {
+		t.Fatal("append to one copied row reached another row or the input")
+	}
+}

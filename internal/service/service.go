@@ -387,8 +387,8 @@ type HealthResponse struct {
 	// Ready is false while the boot warm scan is still loading artifacts
 	// from the disk tier — alive but not fit for cluster traffic. The
 	// cluster router keeps not-ready replicas out of rotation.
-	Ready         bool    `json:"ready"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	Ready          bool    `json:"ready"`
+	UptimeSeconds  float64 `json:"uptime_seconds"`
 	Platforms      int     `json:"platforms"`
 	ResidentModels int     `json:"resident_models"`
 	GoVersion      string  `json:"go_version"`
@@ -789,16 +789,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusNotFound, "unknown platform %q", r.PathValue("platform"))
 		return
 	}
+	var sd *storedDataset
 	s.mu.RLock()
 	m, ok := s.models[p.Name()+"/"+r.PathValue("model")]
+	if ok {
+		sd = s.datasets[p.Name()+"/"+m.datasetID]
+	}
 	s.mu.RUnlock()
 	if !ok {
 		s.fail(w, r, http.StatusNotFound, "unknown model %q on %s", r.PathValue("model"), p.Name())
 		return
 	}
-	s.mu.RLock()
-	sd := s.datasets[p.Name()+"/"+m.datasetID]
-	s.mu.RUnlock()
 	if sd == nil {
 		s.fail(w, r, http.StatusGone, "model's dataset was removed")
 		return
@@ -851,25 +852,31 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var (
-		labels    []int  // JSON response accumulation
-		respBuf   []byte // binary response frames
-		lastFrame = -1   // offset of the newest label frame in respBuf
+		labels    []int   // JSON response accumulation
+		respBuf   *[]byte // binary response frames (pooled)
+		lastFrame = -1    // offset of the newest label frame in respBuf
 		totalRows int
 		frames    int
 	)
 	if binaryOut {
 		respBuf = wire.GetBuffer()
-		defer func() { wire.PutBuffer(respBuf) }()
+		defer wire.PutBuffer(respBuf)
 	}
+	// emit predicts one batch and appends its labels to the response. On the
+	// binary path part is owned by the pooled frame Reader and is overwritten
+	// by the next frame, so emit must be done with it when it returns: no
+	// classifier retains its Predict input (TestPredictDoesNotRetainInput),
+	// and PredictSharded joins its shard goroutines before returning — that
+	// ordering is load-bearing here.
 	emit := func(part [][]float64) {
 		got := predictRows(part)
 		totalRows += len(part)
 		frames++
 		if binaryOut {
-			lastFrame = len(respBuf)
-			respBuf = wire.AppendLabelsFrame(respBuf, got, 0)
+			lastFrame = len(*respBuf)
+			*respBuf = wire.AppendLabelsFrame(*respBuf, got, 0)
 			s.reg.Histogram(telemetry.WireFrameBytesHistogram, "dir", "tx").
-				Observe(float64(len(respBuf) - lastFrame))
+				Observe(float64(len(*respBuf) - lastFrame))
 		} else if labels == nil {
 			// Single-batch JSON responses hand the classifier's own output
 			// slice to the encoder, never copied or regrown.
@@ -885,7 +892,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// multi-frame body pipelines through the server without one giant
 		// matrix allocation. Nothing is written until the whole body has
 		// decoded cleanly, so malformed later frames still get a clean 400.
-		dec := wire.NewReader(r.Body)
+		// The Reader is pooled and its rows live until the next NextMatrix
+		// (see emit).
+		dec := wire.GetReader(r.Body)
+		defer wire.PutReader(dec)
 		rxBytes := s.reg.Histogram(telemetry.WireFrameBytesHistogram, "dir", "rx")
 		for {
 			rows, last, err := dec.NextMatrix()
@@ -950,10 +960,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.reg.Histogram(telemetry.PredictPathHistogram, "path", path).Observe(time.Since(start).Seconds())
 	s.reg.Histogram(telemetry.PredictBatchSizeHistogram).Observe(float64(totalRows))
 	if binaryOut {
-		wire.MarkLast(respBuf, lastFrame)
+		wire.MarkLast(*respBuf, lastFrame)
 		w.Header().Set("Content-Type", wire.ContentType)
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(respBuf)
+		_, _ = w.Write(*respBuf)
 		return
 	}
 	writeJSON(w, http.StatusOK, PredictResponse{Labels: labels})

@@ -32,11 +32,11 @@ type SpanData struct {
 // TraceData is one finished trace tree, as stored in the buffer, served by
 // /debug/traces/{id}, and exported as one JSONL line.
 type TraceData struct {
-	TraceID         string  `json:"trace_id"`
-	DurationSeconds float64 `json:"duration_seconds"`
-	Spans           int     `json:"spans"`
-	DroppedSpans    int     `json:"dropped_spans,omitempty"`
-	Error           string  `json:"error,omitempty"`
+	TraceID         string   `json:"trace_id"`
+	DurationSeconds float64  `json:"duration_seconds"`
+	Spans           int      `json:"spans"`
+	DroppedSpans    int      `json:"dropped_spans,omitempty"`
+	Error           string   `json:"error,omitempty"`
 	Root            SpanData `json:"root"`
 }
 

@@ -19,24 +19,47 @@ func benchMatrix() [][]float64 {
 
 func BenchmarkWireCodecEncode(b *testing.B) {
 	m := benchMatrix()
-	buf := GetBuffer()
-	defer PutBuffer(buf)
+	bp := GetBuffer()
+	defer PutBuffer(bp)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = EncodeMatrixStream(buf[:0], m, 0)
+		*bp = EncodeMatrixStream((*bp)[:0], m, 0)
 	}
-	b.SetBytes(int64(len(buf)))
+	b.SetBytes(int64(len(*bp)))
 }
 
+// BenchmarkWireCodecDecode is the server's steady state: one pooled Reader
+// per request, the frame decoded in place.
 func BenchmarkWireCodecDecode(b *testing.B) {
-	m := benchMatrix()
-	body := EncodeMatrixStream(nil, m, 0)
+	body := EncodeMatrixStream(nil, benchMatrix(), 0)
+	src := bytes.NewReader(body)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(body)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeMatrixStream(bytes.NewReader(body)); err != nil {
+		src.Reset(body)
+		d := GetReader(src)
+		if _, _, err := d.NextMatrix(); err != nil {
+			b.Fatal(err)
+		}
+		PutReader(d)
+	}
+}
+
+// BenchmarkWireCodecDecodeMatrixStream is the copying helper on the same
+// body: caller-owned rows, one flat backing per frame. (A sibling rather
+// than a b.Run sub-benchmark, because a benchmark that calls b.Run is not
+// itself measured and the WireCodecDecode series must continue.)
+func BenchmarkWireCodecDecodeMatrixStream(b *testing.B) {
+	body := EncodeMatrixStream(nil, benchMatrix(), 0)
+	src := bytes.NewReader(body)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Reset(body)
+		if _, err := DecodeMatrixStream(src); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,11 +10,16 @@ import (
 // invariants: never panic, never allocate unboundedly (headers are
 // validated against the frame limits before payloads are read, and
 // payloads are read in chunks bounded by delivered bytes), and every
-// failure is a returned error. `go test` runs the seed corpus on every
-// check; `go test -fuzz FuzzFrameDecoder ./internal/wire` explores.
+// failure is a returned error. Each input is also decoded on a Reader that
+// has just decoded a known frame — the state a pooled Reader is in when a
+// request arrives — and must then yield exactly what a fresh Reader yields:
+// the same rows bit for bit, or the same failure and no rows. `go test`
+// runs the seed corpus on every check; `go test -fuzz FuzzFrameDecoder
+// ./internal/wire` explores.
 func FuzzFrameDecoder(f *testing.F) {
 	// Valid single matrix frame.
-	f.Add(AppendMatrixFrame(nil, [][]float64{{1.5, -2.5}, {3.25, 4}}, FlagLast))
+	seedA := AppendMatrixFrame(nil, [][]float64{{1.5, -2.5}, {3.25, 4}}, FlagLast)
+	f.Add(seedA)
 	// Valid multi-frame stream.
 	f.Add(EncodeMatrixStream(nil, [][]float64{{1}, {2}, {3}}, 1))
 	// Valid labels stream.
@@ -55,6 +60,37 @@ func FuzzFrameDecoder(f *testing.F) {
 		}
 		if labels, err := DecodeLabelsStream(bytes.NewReader(data)); err == nil && labels == nil {
 			t.Fatal("nil labels with nil error")
+		}
+
+		fresh := &Reader{r: bytes.NewReader(data)}
+		reused := &Reader{r: bytes.NewReader(seedA)}
+		if _, _, err := reused.NextMatrix(); err != nil {
+			t.Fatalf("seed frame: %v", err)
+		}
+		reused.r = bytes.NewReader(data)
+		for frame := 0; ; frame++ {
+			want, wantLast, wantErr := fresh.NextMatrix()
+			got, gotLast, gotErr := reused.NextMatrix()
+			if (wantErr == nil) != (gotErr == nil) || wantLast != gotLast {
+				t.Fatalf("frame %d: fresh (last=%v err=%v) vs reused (last=%v err=%v)", frame, wantLast, wantErr, gotLast, gotErr)
+			}
+			if wantErr != nil {
+				if got != nil {
+					t.Fatalf("frame %d: reused Reader returned rows with error %v", frame, gotErr)
+				}
+				break
+			}
+			if !bitsEqual(want, got) {
+				t.Fatalf("frame %d: reused Reader decoded different rows", frame)
+			}
+			for _, r := range got {
+				if cap(r) != len(r) {
+					t.Fatalf("frame %d: row cap %d beyond len %d", frame, cap(r), len(r))
+				}
+			}
+			if wantLast {
+				break
+			}
 		}
 	})
 }

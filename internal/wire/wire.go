@@ -4,10 +4,22 @@
 // (PR 5), profiles put the predict endpoint's time in encoding/json, not
 // the forward pass — the same cloud-side serving overhead MLBench measures
 // dominating end-to-end MLaaS latency. A frame carries raw little-endian
-// float64 rows that decode straight into one flat caller-owned backing
-// slice feeding the GEMM tiles: zero reflection, two allocations per frame
-// (backing + row headers), and exact bit round-trips for NaN, ±Inf and -0,
+// float64 rows that decode into one flat backing slice feeding the GEMM
+// tiles: zero reflection, and exact bit round-trips for NaN, ±Inf and -0,
 // which JSON either mangles or rejects outright.
+//
+// Ownership. A Reader owns its payload scratch, its flat float64 backing
+// and its row-header slice, and reuses all three from frame to frame and —
+// through the GetReader/PutReader pool — from request to request, so a
+// steady-state decode allocates nothing. The one contract that buys this:
+// rows returned by NextMatrix are valid until the next call on that Reader
+// or its return to the pool. A consumer that finishes with each frame
+// before reading the next (the predict handler) needs nothing else; one
+// that keeps rows copies them, which is what DecodeMatrixStream does. Every
+// cell of a returned row is written from the current payload and nothing is
+// returned on error, so a reused Reader never shows one request another's
+// instances. Labels (NextLabels, DecodeLabelsStream) and encode results are
+// always caller-owned.
 //
 // Frame layout (all integers little-endian):
 //
@@ -41,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -89,8 +102,10 @@ func formatErr(format string, args ...any) error {
 // selects the binary frame codec. Parameters after ';' are ignored;
 // Accept-style lists match if any element is the frame media type.
 func Negotiates(header string) bool {
-	for _, part := range strings.Split(header, ",") {
-		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
+	for header != "" {
+		var part string
+		part, header, _ = strings.Cut(header, ",")
+		mt, _, _ := strings.Cut(part, ";")
 		if strings.TrimSpace(mt) == ContentType {
 			return true
 		}
@@ -157,22 +172,28 @@ func parseHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// bufPool recycles frame encode buffers. Buffers that grew past the pool
-// cap are dropped on return so one huge frame cannot pin memory.
+// maxPooledFrame caps what a pooled encode buffer or Reader may hold on to.
+// Anything that grew past it is dropped on return, so one huge frame cannot
+// pin memory.
 const maxPooledFrame = 1 << 20
 
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // GetBuffer hands out a pooled scratch buffer (length 0). Callers that
-// assemble multi-frame bodies with AppendMatrixFrame/AppendLabelsFrame use
-// it to keep the hot path allocation-free; return it with PutBuffer.
-func GetBuffer() []byte { return (*bufPool.Get().(*[]byte))[:0] }
+// assemble multi-frame bodies with AppendMatrixFrame/AppendLabelsFrame
+// append through the pointer (*bp = Append…(*bp, …)) and return the same
+// pointer with PutBuffer; handing the pointer back and forth is what keeps
+// a get → append → put cycle allocation-free.
+func GetBuffer() *[]byte {
+	bp := bufPool.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
 
-// PutBuffer returns a buffer obtained from GetBuffer (or grown from one).
-func PutBuffer(b []byte) {
-	if cap(b) <= maxPooledFrame {
-		b = b[:0]
-		bufPool.Put(&b)
+// PutBuffer returns a buffer obtained from GetBuffer.
+func PutBuffer(bp *[]byte) {
+	if cap(*bp) <= maxPooledFrame {
+		bufPool.Put(bp)
 	}
 }
 
@@ -243,15 +264,37 @@ func EncodeMatrixStream(dst []byte, rows [][]float64, chunk int) []byte {
 
 // Reader decodes a stream of frames. It reads payloads in bounded chunks,
 // so allocation tracks bytes actually delivered, not what a (possibly
-// forged) header claims.
+// forged) header claims, and it reuses its payload scratch, float64 backing
+// and row headers from frame to frame: see the package comment for the
+// ownership contract on NextMatrix.
 type Reader struct {
 	r       io.Reader
-	scratch []byte
+	scratch []byte      // payload bytes of the current frame
+	flat    []float64   // backing of the rows NextMatrix returned last
+	rows    [][]float64 // row headers into flat
 	head    [HeaderSize]byte
 }
 
-// NewReader wraps r for frame decoding.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+var readerPool = sync.Pool{New: func() any { return new(Reader) }}
+
+// GetReader hands out a pooled Reader decoding frames from r. Return it
+// with PutReader once nothing decoded through it is referenced any more.
+func GetReader(r io.Reader) *Reader {
+	d := readerPool.Get().(*Reader)
+	d.r = r
+	return d
+}
+
+// PutReader returns a Reader to the pool. Rows it returned from NextMatrix
+// are invalid from here on. A Reader that grew past maxPooledFrame in any
+// of its buffers is dropped instead.
+func PutReader(d *Reader) {
+	d.r = nil
+	const rowHeader = 24 // bytes per []float64 header
+	if cap(d.scratch) <= maxPooledFrame && 8*cap(d.flat) <= maxPooledFrame && rowHeader*cap(d.rows) <= maxPooledFrame {
+		readerPool.Put(d)
+	}
+}
 
 // next reads and validates the next frame header. Clean EOF on the frame
 // boundary returns io.EOF; a partial header is ErrUnexpectedEOF.
@@ -298,9 +341,14 @@ func (d *Reader) readPayload(n int) ([]byte, error) {
 	return buf, nil
 }
 
-// NextMatrix decodes the next float64 matrix frame: one flat backing
-// allocation the row slices index into, ready to feed the batch kernels.
-// It returns io.EOF at clean end of stream; last reports the LAST flag.
+// NextMatrix decodes the next float64 matrix frame into the Reader's flat
+// backing, the row slices indexing into it, ready to feed the batch
+// kernels. The rows are valid until the next call on d or its return to the
+// pool. The backing is sized only once the payload has fully arrived, every
+// cell of every returned row is overwritten from it, and rows and each row
+// are capped at their length, so nothing of an earlier frame is reachable
+// through the result. It returns io.EOF at clean end of stream; last
+// reports the LAST flag.
 func (d *Reader) NextMatrix() (rows [][]float64, last bool, err error) {
 	h, err := d.next()
 	if err != nil {
@@ -313,18 +361,26 @@ func (d *Reader) NextMatrix() (rows [][]float64, last bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	flat := make([]float64, h.Rows*h.Cols)
+	n := h.Rows * h.Cols
+	if cap(d.flat) < n {
+		d.flat = make([]float64, n)
+	}
+	flat := d.flat[:n]
 	for i := range flat {
 		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
 	}
-	rows = make([][]float64, h.Rows)
+	if cap(d.rows) < h.Rows {
+		d.rows = make([][]float64, h.Rows)
+	}
+	rows = d.rows[:h.Rows:h.Rows]
 	for i := range rows {
 		rows[i] = flat[i*h.Cols : (i+1)*h.Cols : (i+1)*h.Cols]
 	}
 	return rows, h.Last(), nil
 }
 
-// NextLabels decodes the next labels frame. io.EOF at clean end of stream.
+// NextLabels decodes the next labels frame into a fresh caller-owned
+// slice. io.EOF at clean end of stream.
 func (d *Reader) NextLabels() (labels []int, last bool, err error) {
 	h, err := d.next()
 	if err != nil {
@@ -345,9 +401,10 @@ func (d *Reader) NextLabels() (labels []int, last bool, err error) {
 }
 
 // DecodeLabelsStream decodes every labels frame of body (the client side
-// of a predict response) into one label slice.
+// of a predict response) into one caller-owned label slice.
 func DecodeLabelsStream(body io.Reader) ([]int, error) {
-	d := NewReader(body)
+	d := GetReader(body)
+	defer PutReader(d)
 	var out []int
 	for {
 		labels, lastFrame, err := d.NextLabels()
@@ -371,11 +428,13 @@ func DecodeLabelsStream(body io.Reader) ([]int, error) {
 	}
 }
 
-// DecodeMatrixStream decodes every matrix frame of body into one instance
-// matrix (test/oracle convenience; the server consumes frames one at a
-// time instead).
+// DecodeMatrixStream decodes every matrix frame of body into one
+// caller-owned instance matrix. It accumulates rows across frames, so it
+// copies each frame out of the Reader (one flat backing per frame); the
+// server consumes frames one at a time through a Reader instead.
 func DecodeMatrixStream(body io.Reader) ([][]float64, error) {
-	d := NewReader(body)
+	d := GetReader(body)
+	defer PutReader(d)
 	var out [][]float64
 	seen := false
 	for {
@@ -390,9 +449,26 @@ func DecodeMatrixStream(body io.Reader) ([][]float64, error) {
 			return nil, err
 		}
 		seen = true
-		out = append(out, rows...)
+		out = appendRowsCopy(out, rows)
 		if lastFrame {
 			return out, nil
 		}
 	}
+}
+
+// appendRowsCopy appends a copy of rows (a rectangular frame) to dst, the
+// copies sharing one flat backing.
+func appendRowsCopy(dst, rows [][]float64) [][]float64 {
+	if len(rows) == 0 {
+		return dst
+	}
+	cols := len(rows[0])
+	flat := make([]float64, len(rows)*cols)
+	dst = slices.Grow(dst, len(rows))
+	for i, row := range rows {
+		cp := flat[i*cols : (i+1)*cols : (i+1)*cols]
+		copy(cp, row)
+		dst = append(dst, cp)
+	}
+	return dst
 }

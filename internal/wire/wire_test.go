@@ -7,8 +7,10 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
+	"mlaasbench/internal/raceflag"
 	"mlaasbench/internal/rng"
 )
 
@@ -187,6 +189,15 @@ func TestNegotiates(t *testing.T) {
 			t.Errorf("Negotiates(%q) = true, want false", h)
 		}
 	}
+	// Both headers are walked on every predict: no list may be materialized.
+	all := append(yes, no...)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, h := range all {
+			Negotiates(h)
+		}
+	}); n != 0 {
+		t.Errorf("Negotiates allocates %v times per pass, want 0", n)
+	}
 }
 
 func TestDecodeErrors(t *testing.T) {
@@ -240,25 +251,222 @@ func TestDecodeErrors(t *testing.T) {
 
 // TestReaderBoundedAllocation: a header claiming a huge payload backed by a
 // tiny body must fail after allocating roughly what arrived, not what was
-// claimed. We can't measure allocation directly without flakiness, but we
-// assert the error path triggers with a payload claim near the cap.
+// claimed — on a fresh Reader and on a pooled one that has already decoded
+// a frame. The forged claim is the 64 MiB cap; the budget is 1 MiB (one
+// 256 KiB growth step, twice over under the race detector, plus slack).
 func TestReaderBoundedAllocation(t *testing.T) {
 	var head [HeaderSize]byte
 	putHeader(head[:], Header{Rows: MaxFrameRows, Cols: 2}) // 64 MiB claim
 	body := append(head[:], 1, 2, 3)
-	_, err := DecodeMatrixStream(bytes.NewReader(body))
-	if !errors.Is(err, ErrFormat) {
-		t.Fatalf("got %v, want ErrFormat", err)
+	warm := AppendMatrixFrame(nil, [][]float64{{1, 2}}, FlagLast)
+
+	d := new(Reader)
+	for _, reused := range []bool{false, true} {
+		if reused {
+			d.r = bytes.NewReader(warm)
+			if _, _, err := d.NextMatrix(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d.r = bytes.NewReader(body)
+		rows, _, err := d.NextMatrix()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFormat) || rows != nil {
+			t.Fatalf("reused=%v: got rows=%v err=%v, want no rows and ErrFormat", reused, rows, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("reused=%v: forged 64 MiB header allocated %d bytes", reused, got)
+		}
+		if cap(d.flat) > 2 {
+			t.Errorf("reused=%v: float backing sized to %d before the payload arrived", reused, cap(d.flat))
+		}
 	}
 }
 
+// TestBufferPool: a get → append → put cycle allocates nothing at steady
+// state (the pool hands the *[]byte itself back and forth), and a buffer
+// that grew past the cap is dropped.
 func TestBufferPool(t *testing.T) {
-	b := GetBuffer()
-	if len(b) != 0 {
-		t.Fatalf("pooled buffer has length %d", len(b))
+	bp := GetBuffer()
+	if len(*bp) != 0 {
+		t.Fatalf("pooled buffer has length %d", len(*bp))
 	}
-	b = AppendMatrixFrame(b, [][]float64{{1}}, FlagLast)
-	PutBuffer(b)
+	m := [][]float64{{1, 2, 3}, {4, 5, 6}}
+	*bp = AppendMatrixFrame(*bp, m, FlagLast)
+	PutBuffer(bp)
+	if bp := GetBuffer(); len(*bp) != 0 {
+		t.Fatalf("recycled buffer has length %d", len(*bp))
+	} else {
+		PutBuffer(bp)
+	}
+	if !raceflag.Enabled {
+		if n := testing.AllocsPerRun(100, func() {
+			bp := GetBuffer()
+			*bp = AppendMatrixFrame(*bp, m, FlagLast)
+			PutBuffer(bp)
+		}); n != 0 {
+			t.Errorf("get/append/put allocates %v times per cycle, want 0", n)
+		}
+	}
 	// Oversized buffers must be dropped, not pooled.
-	PutBuffer(make([]byte, maxPooledFrame+1))
+	big := make([]byte, maxPooledFrame+1)
+	PutBuffer(&big)
+	for i := 0; i < 8; i++ {
+		if bp := GetBuffer(); cap(*bp) > maxPooledFrame {
+			t.Fatalf("pool handed out a %d-byte buffer", cap(*bp))
+		}
+	}
+}
+
+// TestReaderPoolDropsOversize mirrors TestBufferPool for Readers: one that
+// decoded a frame past the cap must not come back out of the pool, whichever
+// of its three buffers outgrew it.
+func TestReaderPoolDropsOversize(t *testing.T) {
+	wide := make([][]float64, 3) // payload and backing over the cap, 3 row headers
+	for i := range wide {
+		wide[i] = make([]float64, MaxFrameCols)
+	}
+	tall := make([][]float64, maxPooledFrame/24+1)
+	for i := range tall {
+		tall[i] = []float64{1} // only the row headers are over the cap
+	}
+	for name, m := range map[string][][]float64{"payload": wide, "row headers": tall} {
+		d := GetReader(bytes.NewReader(AppendMatrixFrame(nil, m, FlagLast)))
+		if rows, _, err := d.NextMatrix(); err != nil || len(rows) != len(m) {
+			t.Fatalf("%s: decode: %d rows, %v", name, len(rows), err)
+		}
+		PutReader(d)
+		for i := 0; i < 8; i++ {
+			if got := GetReader(nil); got == d {
+				t.Fatalf("%s: oversize Reader was pooled", name)
+			}
+		}
+	}
+	// A Reader inside the cap does come back (the race detector makes the
+	// pool drop at random, so only the plain build can say so; one P, so
+	// the Get looks in the slot the Put filled).
+	if !raceflag.Enabled {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		d := GetReader(bytes.NewReader(AppendMatrixFrame(nil, [][]float64{{1, 2}}, FlagLast)))
+		if _, _, err := d.NextMatrix(); err != nil {
+			t.Fatal(err)
+		}
+		PutReader(d)
+		if got := GetReader(nil); got != d {
+			t.Error("in-cap Reader was not pooled")
+		}
+	}
+}
+
+// TestReaderSteadyStateAllocs: at a fixed shape a reused Reader decodes
+// without allocating — payload scratch, float backing and row headers are
+// all kept from the previous frame.
+func TestReaderSteadyStateAllocs(t *testing.T) {
+	m := randMatrix(rng.New(5).Split("wire/steady"), 256, 32, false)
+	body := AppendMatrixFrame(nil, m, FlagLast)
+	src := bytes.NewReader(body)
+	d := &Reader{r: src}
+	decode := func() {
+		src.Reset(body)
+		rows, _, err := d.NextMatrix()
+		if err != nil || len(rows) != len(m) {
+			t.Fatalf("decode: %d rows, %v", len(rows), err)
+		}
+	}
+	decode() // warm-up sizes the three buffers
+	if n := testing.AllocsPerRun(100, decode); n != 0 {
+		t.Errorf("steady-state NextMatrix allocates %v times per frame, want 0", n)
+	}
+	rows, _, _ := d.NextMatrix() // EOF: nothing returned
+	if rows != nil {
+		t.Errorf("rows returned at EOF")
+	}
+	src.Reset(body)
+	rows, _, _ = d.NextMatrix()
+	if !bitsEqual(m, rows) {
+		t.Error("reused decode differs from the encoded matrix")
+	}
+}
+
+// TestReaderNoStaleRows: a big frame of sentinel values, then a small frame
+// on the same pooled Reader. The second decode must be exactly the second
+// frame — row count, and len and cap of every row, so nothing of the first
+// frame is reachable through the result — and a truncated second frame must
+// return an error and no rows at all.
+func TestReaderNoStaleRows(t *testing.T) {
+	const sentinel = 1234.5
+	big := make([][]float64, 512)
+	for i := range big {
+		big[i] = make([]float64, 16)
+		for j := range big[i] {
+			big[i][j] = sentinel
+		}
+	}
+	small := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+	first := AppendMatrixFrame(nil, big, FlagLast)
+	second := AppendMatrixFrame(nil, small, FlagLast)
+
+	for name, tc := range map[string]struct {
+		body    []byte
+		wantErr bool
+	}{
+		"whole":               {second, false},
+		"truncated payload":   {second[:len(second)-5], true},
+		"truncated header":    {second[:HeaderSize-1], true},
+		"header then nothing": {second[:HeaderSize], true},
+	} {
+		d := GetReader(bytes.NewReader(first))
+		if rows, _, err := d.NextMatrix(); err != nil || len(rows) != 512 {
+			t.Fatalf("%s: first frame: %d rows, %v", name, len(rows), err)
+		}
+		PutReader(d)
+
+		d = GetReader(bytes.NewReader(tc.body))
+		rows, last, err := d.NextMatrix()
+		if tc.wantErr {
+			if !errors.Is(err, ErrFormat) || rows != nil || last {
+				t.Errorf("%s: got rows=%v last=%v err=%v, want nil rows and ErrFormat", name, rows, last, err)
+			}
+			PutReader(d)
+			continue
+		}
+		if err != nil || !last {
+			t.Fatalf("%s: second frame: last=%v err=%v", name, last, err)
+		}
+		if len(rows) != len(small) || cap(rows) != len(small) {
+			t.Fatalf("%s: got %d rows (cap %d), want %d", name, len(rows), cap(rows), len(small))
+		}
+		for i, row := range rows {
+			if len(row) != 2 || cap(row) != 2 {
+				t.Errorf("%s: row %d has len %d cap %d, want 2 and 2", name, i, len(row), cap(row))
+			}
+			for j, v := range row {
+				if v != small[i][j] {
+					t.Errorf("%s: row %d col %d = %v, want %v", name, i, j, v, small[i][j])
+				}
+			}
+		}
+		PutReader(d)
+	}
+}
+
+// TestDecodeMatrixStreamOwnsResult: the copying helper's rows survive later
+// decodes through the pool, across frames of one stream and across streams.
+func TestDecodeMatrixStreamOwnsResult(t *testing.T) {
+	r := rng.New(9).Split("wire/owns")
+	a := randMatrix(r, 40, 6, true)
+	got, err := DecodeMatrixStream(bytes.NewReader(EncodeMatrixStream(nil, a, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := DecodeMatrixStream(bytes.NewReader(EncodeMatrixStream(nil, randMatrix(r, 40, 6, false), 0))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bitsEqual(a, got) {
+		t.Fatal("rows returned by DecodeMatrixStream changed after later decodes")
+	}
 }
