@@ -1,6 +1,7 @@
 # Standard pre-merge gate: `make check` runs gofmt and vet, the full test
 # suite, the race detector over the concurrency-bearing packages (telemetry, service,
-# client, wire, and the parallel sweep engine in core/pipeline/platforms), a
+# client, wire, the parallel sweep engine in core/pipeline/platforms, and the
+# pooled predict scratch in classifiers), a
 # short loadgen smoke that exercises the serving path end-to-end, a wire
 # smoke (binary-vs-JSON equivalence over a live server + decoder fuzz seed
 # corpus), a perf-tracking smoke (mlaas-perf run/compare/report against
@@ -40,9 +41,13 @@ test:
 # The core race run is restricted to the parallel-engine tests: racing the
 # whole analysis suite re-runs the shared 8-dataset sweep under the race
 # detector, which triples check time without exercising new interleavings.
+# classifiers and linalg likewise race only what shares state between
+# predicts: the pooled forward-pass scratch (kNN heaps and survivor cells
+# reused across tiles, MLP row blocks) and the kernels that fill it.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run 'TestParallel|TestSweepCancellation' ./internal/core
+	$(GO) test -race -run 'TestPredict|TestKNN|TestSquaredEuclidean' ./internal/classifiers ./internal/linalg
 
 check: fmt vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke bench-e2e-smoke
 

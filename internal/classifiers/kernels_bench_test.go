@@ -3,7 +3,9 @@ package classifiers
 import (
 	"testing"
 
+	"mlaasbench/internal/preprocess"
 	"mlaasbench/internal/rng"
+	"mlaasbench/internal/synth"
 )
 
 // The forward-pass benchmarks behind BENCH_PR5.json. They use only the
@@ -53,6 +55,32 @@ func BenchmarkKNNPredictBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	queries, _ := benchData(256, 24)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = k.Predict(queries)
+	}
+}
+
+// clusteredData is the serve_dense shape: a 2 000 × 32 `clusters` concept
+// split 1 600 train / 256 queries, both through a standard scaler fitted on
+// the training part.
+func clusteredData() (xTr [][]float64, yTr []int, queries [][]float64) {
+	ds := synth.GenerateClean(synth.Spec{Name: "bench-clusters", Gen: synth.GenClusters, N: 2000, D: 32, Imbalance: 0.5}, synth.Full, 1234)
+	var sc preprocess.Standard
+	sc.Fit(ds.X[:1600])
+	return sc.Transform(ds.X[:1600]), ds.Y[:1600], sc.Transform(ds.X[1600:1856])
+}
+
+// BenchmarkKNNPredictBatchClustered is BenchmarkKNNPredictBatch on
+// structured data, the side of the early-abandon search where most rows
+// leave at the first checkpoint; the i.i.d. benchmark above is the other.
+func BenchmarkKNNPredictBatchClustered(b *testing.B) {
+	x, y, queries := clusteredData()
+	k := &KNN{params: Params{"n_neighbors": 5}}
+	if err := k.Fit(x, y, rng.New(7)); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

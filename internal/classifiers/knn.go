@@ -26,7 +26,7 @@ type KNN struct {
 	x      [][]float64
 	y      []int
 	// xm is the training set packed contiguous row-major at fit time, so
-	// the Euclidean predict path can run the blocked distance kernel.
+	// the Euclidean predict path can run the tiled distance kernel.
 	xm *linalg.Matrix
 }
 
@@ -34,7 +34,7 @@ type KNN struct {
 func (*KNN) Name() string { return "knn" }
 
 // Fit implements Classifier. KNN is a lazy learner: Fit stores the data
-// (plus a contiguous copy for the batched distance kernel).
+// (plus a contiguous copy for the tiled distance kernel).
 func (k *KNN) Fit(x [][]float64, y []int, _ *rng.RNG) error {
 	if _, _, err := validateFit(x, y); err != nil {
 		return err
@@ -65,11 +65,11 @@ func (k *KNN) Predict(x [][]float64) []int {
 	distWeighted := k.params.String("weights", "uniform") == "distance"
 
 	out := make([]int, len(x))
-	h := newKHeap(kk)
 	if p == 2 && k.xm != nil && k.xm.Rows > 0 {
-		k.predictEuclidean(x, out, h, distWeighted)
+		k.predictEuclidean(x, out, kk, distWeighted)
 		return out
 	}
+	h := newKHeap(kk)
 	for qi, q := range x {
 		h.reset()
 		for i, row := range k.x {
@@ -86,49 +86,97 @@ func (k *KNN) Predict(x [][]float64) []int {
 	return out
 }
 
-// knnQueryBlock bounds the distance-buffer footprint: one block of query
-// rows is scored against every training row per kernel call, so the tile
-// of training rows the kernel keeps cache-resident is reused across the
-// whole block instead of one query.
-const knnQueryBlock = 32
+// Shape of the Euclidean search (measurements: 256 queries, k = 5, 2-vCPU
+// Xeon 2.1 GHz; "clusters" is 1 600 × 32 standardized synth clusters,
+// "i.i.d." 2 048 × 24 N(0,1); method and tables in EXPERIMENTS.md "Exact
+// early-abandon kNN").
+//
+// knnQueryBlock queries are scored against one training tile before the
+// next tile is loaded, so the tile stays cache-resident across the block.
+// A tile is also where a query's pruning bound is refreshed: clusters
+// measures the same at 64 rows and 30 % slower at 256. The bound is loosest
+// at the start of a block — the worst of the first k rows — so a block's
+// first tile is knnFirstTile rows and tiles double up to knnTile: every row
+// of a 128-row first tile survived the first checkpoint on clusters, 31 %
+// of a 32-row one, predict 3.68 → 3.34 ms (8, 16 and 64 rows: same).
+const (
+	knnQueryBlock = 32
+	knnTile       = 128
+	knnFirstTile  = 32
+)
 
-// predictEuclidean is the p=2 fast path: query blocks stream through the
-// blocked SquaredEuclideanBatch kernel into a pooled buffer, then each
-// query's distance row feeds the same bounded-k heap in ascending training
-// index — the kernel is bit-identical to per-pair SquaredEuclidean and the
-// offer order is unchanged, so the selected neighbour set (including index
-// tie-breaks) and the votes match the scalar path exactly.
-func (k *KNN) predictEuclidean(x [][]float64, out []int, h *kHeap, distWeighted bool) {
-	n := k.xm.Rows
-	sp := getScratch(min(knnQueryBlock, len(x)) * n)
-	defer putScratch(sp)
-	buf := *sp
+// knnCheckpoint is where the first early-abandon checkpoint starts (after 8
+// features) and how far it moves back each time a tile shows it not
+// paying: more than half of the tile's (query, row) pairs still alive
+// after it. On clusters 17 % are and it never moves. On i.i.d. 80 % are, it
+// moves to 16 features (22 % alive) and predict takes 5.2 ms against 6.0 for
+// both the dense kernel and a checkpoint pinned at 8; on 64- and 128-feature
+// i.i.d. rows, where nothing can be ruled out early, pinned costs 19.6 /
+// 43.3 ms against the dense 14.5 / 27.3, moving 12.8 / 25.8. Thresholds of
+// 1/3, 2/3 and 3/4 measure the same. The move is one-way and lasts for the
+// Predict call. Tiles that start within a block's first knnTile rows have
+// no say — their bounds are still loose, and letting them vote moved i.i.d.
+// to 24 features, i.e. dense, 6.0 ms — and a checkpoint moved too far only
+// forgoes pruning: at all features the search is the dense scan plus one
+// comparison per row.
+const knnCheckpoint = 8
+
+// predictEuclidean is the p=2 fast path, an exact early-abandon search.
+// Each query of a block keeps its bounded-k heap alive across the training
+// tiles. Until the heap holds k rows every row is offered, as the scalar
+// path does (NaN distances included). From then on a tile goes through
+// SquaredEuclideanPruned with the heap's current worst distance as bound,
+// which returns — bit-identical to per-pair SquaredEuclidean, in ascending
+// training index — exactly the rows with distance < bound. Candidates
+// arrive in ascending index, so each one loses the (dist, idx) tie-break
+// against anything already in the heap and a full heap accepts exactly
+// dist < worst; worst only falls as rows are accepted (and accepts nothing
+// once it is NaN), so a row the kernel dropped under an earlier, larger
+// worst is one this loop would have rejected. The heap therefore sees the
+// same accepted offers in the same order as a scan of all n distances: the
+// selected set, its index tie-breaks and the votes match the scalar path.
+func (k *KNN) predictEuclidean(x [][]float64, out []int, kk int, distWeighted bool) {
+	n, w := k.xm.Rows, k.xm.Cols
+	s := getKNNScratch(min(knnQueryBlock, len(x)), kk)
+	defer putKNNScratch(s)
+	first := knnCheckpoint
 	for q0 := 0; q0 < len(x); q0 += knnQueryBlock {
-		q1 := min(q0+knnQueryBlock, len(x))
-		qs := x[q0:q1]
-		d := buf[:len(qs)*n]
-		linalg.SquaredEuclideanBatch(d, qs, k.xm)
-		for qi := range qs {
-			h.reset()
-			drow := d[qi*n : (qi+1)*n]
-			k0 := min(h.k, n)
-			for i := 0; i < k0; i++ {
-				h.offer(drow[i], i)
-			}
-			// Candidates arrive in ascending training index, so every index
-			// from here on loses the (dist, idx) tie-break against anything
-			// already in the heap: a full heap rejects exactly dist >= worst.
-			// The inline check skips the non-inlined offer call for the vast
-			// majority of rows — the heap only sees the same offers it would
-			// have accepted, so the selected set is unchanged.
-			worst := h.dist[0]
-			for i := k0; i < n; i++ {
-				if dist := drow[i]; dist < worst {
-					h.offer(dist, i)
-					worst = h.dist[0]
+		qs := x[q0:min(q0+knnQueryBlock, len(x))]
+		heaps := s.heaps[:len(qs)]
+		for i := range heaps {
+			heaps[i].reset()
+		}
+		start := linalg.KernelStart()
+		for lo, hi, step := 0, 0, knnFirstTile; lo < n; lo, step = hi, min(2*step, knnTile) {
+			hi = min(lo+step, n)
+			pairs, alive := 0, 0
+			for qi, q := range qs {
+				h := &heaps[qi]
+				from := lo
+				for ; len(h.dist) < h.k && from < hi; from++ {
+					h.offer(linalg.SquaredEuclidean(k.xm.Row(from), q), from)
+				}
+				if from == hi {
+					continue
+				}
+				worst := h.dist[0]
+				m, a := linalg.SquaredEuclideanPruned(s.dist, s.idx, q, k.xm, from, hi, worst, first)
+				pairs += hi - from
+				alive += a
+				for j, dist := range s.dist[:m] {
+					if dist < worst {
+						h.offer(dist, s.idx[j])
+						worst = h.dist[0]
+					}
 				}
 			}
-			out[q0+qi] = h.vote(k.y, distWeighted)
+			if lo >= knnTile && first < w && 2*alive > pairs {
+				first += knnCheckpoint
+			}
+		}
+		linalg.KernelEnd(linalg.KernelDistance, start)
+		for qi := range heaps {
+			out[q0+qi] = heaps[qi].vote(k.y, distWeighted)
 		}
 	}
 }

@@ -241,6 +241,7 @@ func DecodeFitted(r *codec.Reader) (Classifier, error) {
 			t.mean[cl] = r.F64s(maxModelFeatures)
 			t.vari[cl] = r.F64s(maxModelFeatures)
 		}
+		t.derive()
 		c = t
 	case "knn":
 		t := &KNN{params: params}

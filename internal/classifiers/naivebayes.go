@@ -26,6 +26,12 @@ type NaiveBayes struct {
 	logPri [2]float64
 	mean   [2][]float64
 	vari   [2][]float64
+	// logNorm[c][j] = log(2π·vari[c][j]) and twoVar[c][j] = 2·vari[c][j]:
+	// the two per-(class, feature) subexpressions of the Gaussian
+	// log-likelihood, evaluated once by derive instead of per predicted row.
+	// Derived from vari, never serialized.
+	logNorm [2][]float64
+	twoVar  [2][]float64
 }
 
 // Name implements Classifier.
@@ -105,7 +111,21 @@ func (nb *NaiveBayes) Fit(x [][]float64, y []int, _ *rng.RNG) error {
 			}
 		}
 	}
+	nb.derive()
 	return nil
+}
+
+// derive fills logNorm and twoVar from vari; Fit and the MLMF decoder call
+// it once the variances are final.
+func (nb *NaiveBayes) derive() {
+	for c := 0; c < 2; c++ {
+		nb.logNorm[c] = make([]float64, len(nb.vari[c]))
+		nb.twoVar[c] = make([]float64, len(nb.vari[c]))
+		for j, variance := range nb.vari[c] {
+			nb.logNorm[c][j] = math.Log(2 * math.Pi * variance)
+			nb.twoVar[c][j] = 2 * variance
+		}
+	}
 }
 
 // Predict implements Classifier.
@@ -121,10 +141,10 @@ func (nb *NaiveBayes) Predict(x [][]float64) []int {
 
 func (nb *NaiveBayes) logPosterior(row []float64, c int) float64 {
 	lp := nb.logPri[c]
+	mean, logNorm, twoVar := nb.mean[c], nb.logNorm[c], nb.twoVar[c]
 	for j, v := range row {
-		variance := nb.vari[c][j]
-		dv := v - nb.mean[c][j]
-		lp += -0.5*math.Log(2*math.Pi*variance) - dv*dv/(2*variance)
+		dv := v - mean[j]
+		lp += -0.5*logNorm[j] - dv*dv/twoVar[j]
 	}
 	return lp
 }

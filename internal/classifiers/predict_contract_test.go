@@ -57,8 +57,9 @@ func TestPredictDoesNotRetainInput(t *testing.T) {
 	}
 }
 
-// TestPredictScratchAllocs: kNN's distance tile and MLP's row blocks come
-// from the scratch pool, so a steady-state Predict allocates its label
+// TestPredictScratchAllocs: kNN's heaps and survivor cells and MLP's row
+// blocks come from the scratch pools, and naive Bayes reads per-feature terms
+// derived at fit time, so a steady-state Predict allocates its label
 // slice plus a handful of small fixed objects — the same count at 256 and
 // 1024 rows, and bytes in proportion to the labels, not to the batch or the
 // training set.
@@ -73,6 +74,7 @@ func TestPredictScratchAllocs(t *testing.T) {
 	for _, clf := range []Classifier{
 		&KNN{params: Params{"n_neighbors": 5}},
 		&MLP{params: Params{"hidden": 32, "max_iter": 2}},
+		&NaiveBayes{},
 	} {
 		if err := clf.Fit(xTr, yTr, rng.New(7)); err != nil {
 			t.Fatal(err)

@@ -6,9 +6,12 @@ import (
 	"time"
 )
 
-// This file is the batch-kernel layer: blocked matrix multiply, batched
-// pairwise distances, and fused vector kernels that the classifier forward
-// passes route through. Two contracts hold for every kernel here:
+// This file is the batch-kernel layer: blocked matrix multiply (MulInto,
+// MulTransBInto, MulVecInto), batched pairwise distances
+// (SquaredEuclideanBatch), their early-abandon tile form
+// (SquaredEuclideanPruned), and fused vector kernels (DotBias, DotFrom,
+// ColInto) that the classifier forward passes route through. Two contracts
+// hold for every kernel here:
 //
 //  1. Determinism. For each output element the floating-point accumulation
 //     order is exactly the order the naive reference loop uses (ascending
@@ -28,12 +31,21 @@ const (
 	distRBlock = 128 // training rows per SquaredEuclideanBatch tile
 )
 
+// pruneStep is the number of features between two checkpoints of
+// SquaredEuclideanPruned after the first. Measured on kNN predict, 256
+// queries, k = 5 (2-vCPU Xeon 2.1 GHz): 8 gives 3.4 ms on 1 600 × 32
+// standardized clusters against 4.0 ms for both 4 (the per-checkpoint
+// compaction outweighs the earlier exit) and 16 (rows that 8 features
+// already rule out run 16); on 2 048 × 24 i.i.d. rows 4 / 8 / 16 give
+// 5.7 / 5.2 / 5.1 ms.
+const pruneStep = 8
+
 // Kernel names reported to the kernel-timing hook (see SetKernelHook).
 const (
 	KernelGEMM     = "gemm"     // MulInto
 	KernelGEMMNT   = "gemm_nt"  // MulTransBInto (B transposed, dot form)
 	KernelGEMV     = "gemv"     // MulVecInto
-	KernelDistance = "distance" // SquaredEuclideanBatch
+	KernelDistance = "distance" // SquaredEuclideanBatch; a kNN query block over SquaredEuclideanPruned
 )
 
 // KernelFunc observes one batch-kernel invocation's wall-clock duration.
@@ -54,16 +66,20 @@ func SetKernelHook(f KernelFunc) {
 	kernelHook.Store(&f)
 }
 
-// kernelStart returns the start time when a hook is installed, else zero.
-// The zero check in kernelEnd keeps un-hooked kernels at one atomic load.
-func kernelStart() time.Time {
+// KernelStart returns the start time when a hook is installed, else zero.
+// The zero check in KernelEnd keeps un-hooked kernels at one atomic load.
+// The pair is exported for a caller that drives a tile kernel itself and
+// owes the hook one observation per batch, not one per tile (kNN's query
+// block over SquaredEuclideanPruned).
+func KernelStart() time.Time {
 	if kernelHook.Load() == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-func kernelEnd(kernel string, start time.Time) {
+// KernelEnd reports the time since start to the installed hook.
+func KernelEnd(kernel string, start time.Time) {
 	if start.IsZero() {
 		return
 	}
@@ -86,7 +102,7 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("linalg: MulInto dst %dx%d for %dx%d product", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	start := kernelStart()
+	start := KernelStart()
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
@@ -111,7 +127,7 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	kernelEnd(KernelGEMM, start)
+	KernelEnd(KernelGEMM, start)
 	return dst
 }
 
@@ -133,7 +149,7 @@ func MulTransBInto(dst, a, b *Matrix) *Matrix {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: MulTransBInto dst %dx%d for %dx%d product", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	start := kernelStart()
+	start := KernelStart()
 	w := b.Cols
 	for jj := 0; jj < b.Rows; jj += gemmRBlock {
 		jMax := min(jj+gemmRBlock, b.Rows)
@@ -166,7 +182,7 @@ func MulTransBInto(dst, a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	kernelEnd(KernelGEMMNT, start)
+	KernelEnd(KernelGEMMNT, start)
 	return dst
 }
 
@@ -180,7 +196,7 @@ func MulVecInto(dst []float64, m *Matrix, v []float64) []float64 {
 	if len(dst) != m.Rows {
 		panic("linalg: MulVecInto dst length mismatch")
 	}
-	start := kernelStart()
+	start := KernelStart()
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		row = row[:len(v)]
@@ -190,7 +206,7 @@ func MulVecInto(dst []float64, m *Matrix, v []float64) []float64 {
 		}
 		dst[i] = s
 	}
-	kernelEnd(KernelGEMV, start)
+	KernelEnd(KernelGEMV, start)
 	return dst
 }
 
@@ -268,7 +284,7 @@ func SquaredEuclideanBatch(dst []float64, qs [][]float64, x *Matrix) {
 			panic(fmt.Sprintf("linalg: SquaredEuclideanBatch query %d has %d features, matrix has %d", qi, len(q), w))
 		}
 	}
-	start := kernelStart()
+	start := KernelStart()
 	for xx := 0; xx < n; xx += distRBlock {
 		xMax := min(xx+distRBlock, n)
 		for qi, q := range qs {
@@ -318,5 +334,169 @@ func SquaredEuclideanBatch(dst []float64, qs [][]float64, x *Matrix) {
 			}
 		}
 	}
-	kernelEnd(KernelDistance, start)
+	KernelEnd(KernelDistance, start)
+}
+
+// SquaredEuclideanPruned is the early-abandon form of the distance kernel
+// for one query against the training tile x[lo:hi): it finds the rows whose
+// squared L2 distance to q is below bound and stops accumulating every
+// other row at the first checkpoint that rules it out. On return idx[:m]
+// holds the surviving row indices in ascending order and dist[:m] their
+// distances; dist and idx are caller-owned scratch of at least hi-lo cells,
+// unspecified beyond m.
+//
+// Each row's sum accumulates from zero in ascending feature order in a
+// single accumulator, exactly like SquaredEuclidean, and is compared with
+// bound after the first `first` features (clamped to [1, x.Cols]) and after
+// every pruneStep more; rows with prefix < bound are compacted to the front
+// and only they continue. The kernel is exact: a squared difference is
+// never negative and adding a non-negative term never lowers an IEEE sum,
+// so a dropped row's full distance is >= its prefix >= bound — or NaN, since
+// a NaN prefix fails the comparison and stays NaN — which makes the dropped
+// rows precisely those for which `distance < bound` is false (all of them
+// under a NaN bound); a surviving distance went through the scalar loop's
+// additions in the scalar loop's order and is bit-identical to it.
+//
+// alive is the number of rows still in after the first checkpoint: the
+// caller's measure of whether a checkpoint that early pays on its data. q
+// must be at least x.Cols wide (extra entries are ignored); a narrower
+// query, a tile outside x or short scratch panics.
+func SquaredEuclideanPruned(dist []float64, idx []int, q []float64, x *Matrix, lo, hi int, bound float64, first int) (m, alive int) {
+	w := x.Cols
+	if len(q) < w {
+		panic(fmt.Sprintf("linalg: SquaredEuclideanPruned query has %d features, matrix has %d", len(q), w))
+	}
+	if lo < 0 || hi > x.Rows || lo > hi || len(dist) < hi-lo || len(idx) < hi-lo {
+		panic(fmt.Sprintf("linalg: SquaredEuclideanPruned tile [%d,%d) of %d rows with scratch %d/%d", lo, hi, x.Rows, len(dist), len(idx)))
+	}
+	c := min(max(first, 1), w)
+	m = sqdistPrefix(dist, idx, q[:c], x, lo, hi, bound)
+	alive = m
+	for ; c < w && m > 0; c += pruneStep {
+		m = sqdistExtend(dist, idx[:m], q[c:min(c+pruneStep, w)], x, c, bound)
+	}
+	return m, alive
+}
+
+// sqdistPrefix sums the first len(qv) features of rows [lo,hi), eight rows
+// per pass with eight independent accumulators as SquaredEuclideanBatch
+// does, and keeps (sum, row) of the rows whose sum is below bound. Every
+// candidate is stored and the cursor advances only past a keeper: whether a
+// row survives is a coin flip to the branch predictor, a store is not.
+func sqdistPrefix(dist []float64, idx []int, qv []float64, x *Matrix, lo, hi int, bound float64) int {
+	w := x.Cols
+	m := 0
+	ri := lo
+	for ; ri+7 < hi; ri += 8 {
+		r0 := x.Data[ri*w : ri*w+w][:len(qv)]
+		r1 := x.Data[(ri+1)*w : (ri+1)*w+w][:len(qv)]
+		r2 := x.Data[(ri+2)*w : (ri+2)*w+w][:len(qv)]
+		r3 := x.Data[(ri+3)*w : (ri+3)*w+w][:len(qv)]
+		r4 := x.Data[(ri+4)*w : (ri+4)*w+w][:len(qv)]
+		r5 := x.Data[(ri+5)*w : (ri+5)*w+w][:len(qv)]
+		r6 := x.Data[(ri+6)*w : (ri+6)*w+w][:len(qv)]
+		r7 := x.Data[(ri+7)*w : (ri+7)*w+w][:len(qv)]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for j, qj := range qv {
+			d0 := r0[j] - qj
+			s0 += d0 * d0
+			d1 := r1[j] - qj
+			s1 += d1 * d1
+			d2 := r2[j] - qj
+			s2 += d2 * d2
+			d3 := r3[j] - qj
+			s3 += d3 * d3
+			d4 := r4[j] - qj
+			s4 += d4 * d4
+			d5 := r5[j] - qj
+			s5 += d5 * d5
+			d6 := r6[j] - qj
+			s6 += d6 * d6
+			d7 := r7[j] - qj
+			s7 += d7 * d7
+		}
+		// m <= ri-lo, so the eight cells from m are inside the scratch.
+		d, ix := dist[m:m+8], idx[m:m+8]
+		k := 0
+		for t, st := range [8]float64{s0, s1, s2, s3, s4, s5, s6, s7} {
+			d[k&7], ix[k&7] = st, ri+t
+			if st < bound {
+				k++
+			}
+		}
+		m += k
+	}
+	for ; ri < hi; ri++ {
+		row := x.Data[ri*w : ri*w+w][:len(qv)]
+		s := 0.0
+		for j, rj := range row {
+			d := rj - qv[j]
+			s += d * d
+		}
+		dist[m], idx[m] = s, ri
+		if s < bound {
+			m++
+		}
+	}
+	return m
+}
+
+// sqdistExtend resumes the surviving rows idx from their prefix sums in
+// dist over features [c, c+len(qv)), four rows per pass, and compacts the
+// rows still below bound to the front in order; it returns how many remain.
+// The write cursor never passes the read cursor, and a pass reads its four
+// rows before it writes any.
+func sqdistExtend(dist []float64, idx []int, qv []float64, x *Matrix, c int, bound float64) int {
+	w := x.Cols
+	dist = dist[:len(idx)]
+	m := 0
+	j := 0
+	for ; j+3 < len(idx); j += 4 {
+		i0, i1, i2, i3 := idx[j], idx[j+1], idx[j+2], idx[j+3]
+		r0 := x.Data[i0*w+c : i0*w+w][:len(qv)]
+		r1 := x.Data[i1*w+c : i1*w+w][:len(qv)]
+		r2 := x.Data[i2*w+c : i2*w+w][:len(qv)]
+		r3 := x.Data[i3*w+c : i3*w+w][:len(qv)]
+		s0, s1, s2, s3 := dist[j], dist[j+1], dist[j+2], dist[j+3]
+		for t, qt := range qv {
+			d0 := r0[t] - qt
+			s0 += d0 * d0
+			d1 := r1[t] - qt
+			s1 += d1 * d1
+			d2 := r2[t] - qt
+			s2 += d2 * d2
+			d3 := r3[t] - qt
+			s3 += d3 * d3
+		}
+		dist[m], idx[m] = s0, i0
+		if s0 < bound {
+			m++
+		}
+		dist[m], idx[m] = s1, i1
+		if s1 < bound {
+			m++
+		}
+		dist[m], idx[m] = s2, i2
+		if s2 < bound {
+			m++
+		}
+		dist[m], idx[m] = s3, i3
+		if s3 < bound {
+			m++
+		}
+	}
+	for ; j < len(idx); j++ {
+		i := idx[j]
+		row := x.Data[i*w+c : i*w+w][:len(qv)]
+		s := dist[j]
+		for t, rt := range row {
+			d := rt - qv[t]
+			s += d * d
+		}
+		dist[m], idx[m] = s, i
+		if s < bound {
+			m++
+		}
+	}
+	return m
 }

@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -226,6 +227,85 @@ func TestSquaredEuclideanBatchGuards(t *testing.T) {
 	SquaredEuclideanBatch(nil, [][]float64{{1}}, NewMatrix(0, 3))
 }
 
+// TestSquaredEuclideanPrunedMatchesScalar holds the early-abandon kernel to
+// its contract against per-pair SquaredEuclidean: the rows it returns are
+// exactly the rows with distance < bound, in ascending index, each distance
+// bit-equal — so every row it dropped has a true distance >= bound (or NaN).
+// Sizes straddle the 8-row pass and a kNN tile, widths the checkpoint
+// step, the first checkpoint sits before, on and past the width, and the
+// tile starts on and off row 0. One training row in eight carries a NaN or
+// an infinity, and the bounds include the ones nothing and everything fails.
+func TestSquaredEuclideanPrunedMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const k = 5
+	for _, n := range []int{0, 1, k - 1, k, 127, 128, 129, 1000} {
+		for _, w := range []int{1, 7, 8, 9, 24, 33} {
+			x := NewMatrix(n, w)
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
+			}
+			for r := 3; r < n; r += 8 {
+				x.Data[r*w+rng.Intn(w)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r%3]
+			}
+			q := make([]float64, w+rng.Intn(2)) // sometimes wider: extras ignored
+			for i := range q {
+				q[i] = rng.NormFloat64()
+			}
+			want := make([]float64, n)
+			finite := make([]float64, 0, n)
+			for r := range want {
+				want[r] = SquaredEuclidean(x.Row(r), q)
+				if !math.IsNaN(want[r]) && !math.IsInf(want[r], 0) {
+					finite = append(finite, want[r])
+				}
+			}
+			sort.Float64s(finite)
+			bounds := []float64{math.Inf(1), 0, math.NaN()}
+			if len(finite) > 0 {
+				bounds = append(bounds, finite[len(finite)/2], finite[len(finite)/20])
+			}
+			dist, idx := make([]float64, n), make([]int, n)
+			for _, bound := range bounds {
+				for _, first := range []int{0, 8, 16, w, w + 3} {
+					for _, lo := range []int{0, min(3, n)} {
+						for i := range dist {
+							dist[i], idx[i] = math.NaN(), -1 // dirty scratch
+						}
+						m, alive := SquaredEuclideanPruned(dist, idx, q, x, lo, n, bound, first)
+						if alive < m || alive > n-lo {
+							t.Fatalf("n=%d w=%d bound=%v first=%d lo=%d: alive=%d with m=%d", n, w, bound, first, lo, alive, m)
+						}
+						j := 0
+						for r := lo; r < n; r++ {
+							if !(want[r] < bound) {
+								continue
+							}
+							if j >= m || idx[j] != r || math.Float64bits(dist[j]) != math.Float64bits(want[r]) {
+								t.Fatalf("n=%d w=%d bound=%v first=%d lo=%d: survivor %d should be row %d at %v, got %v", n, w, bound, first, lo, j, r, want[r], append(dist[:0:0], dist[:m]...))
+							}
+							j++
+						}
+						if j != m {
+							t.Fatalf("n=%d w=%d bound=%v first=%d lo=%d: %d rows returned, %d are below the bound", n, w, bound, first, lo, m, j)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSquaredEuclideanPrunedGuards(t *testing.T) {
+	x := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	d, ix := make([]float64, 2), make([]int, 2)
+	assertPanics(t, "ragged query", func() { SquaredEuclideanPruned(d, ix, []float64{1, 2}, x, 0, 2, 1, 8) })
+	assertPanics(t, "tile past the matrix", func() { SquaredEuclideanPruned(d, ix, []float64{1, 2, 3}, x, 0, 3, 1, 8) })
+	assertPanics(t, "short scratch", func() { SquaredEuclideanPruned(d[:1], ix, []float64{1, 2, 3}, x, 0, 2, 1, 8) })
+	if m, alive := SquaredEuclideanPruned(nil, nil, []float64{1, 2, 3}, x, 1, 1, 1, 8); m != 0 || alive != 0 {
+		t.Fatalf("empty tile: m=%d alive=%d", m, alive)
+	}
+}
+
 func assertPanics(t *testing.T, what string, f func()) {
 	t.Helper()
 	defer func() {
@@ -253,6 +333,9 @@ func TestKernelHook(t *testing.T) {
 	MulTransBInto(NewMatrix(2, 2), a, a)
 	MulVecInto(make([]float64, 2), a, make([]float64, 2))
 	SquaredEuclideanBatch(make([]float64, 2), [][]float64{{0, 0}}, a)
+	// A tile kernel reports nothing itself: its caller brackets a batch of
+	// tile calls with KernelStart/KernelEnd.
+	SquaredEuclideanPruned(make([]float64, 2), make([]int, 2), []float64{0, 0}, a, 0, 2, 1, 8)
 	for _, k := range []string{KernelGEMM, KernelGEMMNT, KernelGEMV, KernelDistance} {
 		if seen[k] != 1 {
 			t.Fatalf("kernel %s observed %d times, want 1", k, seen[k])
