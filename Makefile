@@ -76,13 +76,16 @@ wire-smoke:
 	$(GO) run ./cmd/mlaas-loadgen -clients 2 -batch 32 -duration 1s -codec binary >/dev/null
 
 # Artifact-store smoke: the MLDS/MLMF round-trip and corruption tests, both
-# decoder fuzz seed corpora (corrupt artifacts must error, never panic), a
+# decoder fuzz seed corpora (corrupt artifacts must error, never panic), the
+# restart-over-a-store-dir oracle (a restarted server never serves another
+# dataset's artifact) and the warm scan skipping undecodable artifacts, a
 # cross-compile of the store package for a platform without the mmap fast
 # path (the portable read path must build everywhere), a convert->inspect
 # CLI round trip, and a short warm-restart A/B (warm arm must run 0 fits).
 store-smoke:
 	$(GO) test -count=1 ./internal/store
 	$(GO) test -count=1 -run 'FuzzDatasetDecoder|FuzzModelDecoder' ./internal/store
+	$(GO) test -count=1 -run 'TestRestartOverStoreServesTheUploadedData|TestWarmScanSkipsUndecodableArtifacts' ./internal/service
 	GOOS=windows GOARCH=amd64 $(GO) build ./internal/store
 	$(GO) run ./cmd/mlaas-datasets convert -out /tmp/mlaas-mlds-smoke -name CIRCLE
 	$(GO) run ./cmd/mlaas-datasets inspect -in /tmp/mlaas-mlds-smoke/CIRCLE.mlds >/dev/null
@@ -116,13 +119,15 @@ profile-smoke:
 
 # Cluster-serving smoke: binary-codec predicts through the router must
 # match a single-process server byte-for-byte, every request must survive
-# one of three replicas dying (failover + lazy repair), a fleet-sharded
-# sweep must merge byte-identically to a serial one, and a short 2-replica
-# scaling run through budget-capped replicas must complete with zero
-# errors. The committed 1/2/4-replica scaling record lives in
-# perf/results/ (label pr10-cluster); method in EXPERIMENTS.md.
+# one of three replicas dying (failover + lazy repair, also over a shared
+# store dir), a restarted router must hand back the same ids on re-upload
+# without a refit, a fleet-sharded sweep must merge byte-identically to a
+# serial one, and a short 2-replica scaling run through budget-capped
+# replicas must complete with zero errors. The committed 1/2/4-replica
+# scaling record lives in perf/results/ (label pr10-cluster); method in
+# EXPERIMENTS.md.
 cluster-smoke:
-	$(GO) test -count=1 -run 'TestRouterBinaryPredictMatchesDirect|TestRouterFailoverKillOneOfThree|TestRouterLazyRepair|TestRingGolden' ./internal/cluster
+	$(GO) test -count=1 -run 'TestRouterBinaryPredictMatchesDirect|TestRouterFailoverKillOneOfThree|TestRouterLazyRepair|TestRouterRepairOverSharedStore|TestRouterRestartReuploadSameIDs|TestRingGolden' ./internal/cluster
 	$(GO) test -count=1 -run 'TestFleetSweepByteIdentical/replicas=3' ./internal/core
 	$(GO) run ./cmd/mlaas-loadgen -cluster 1,2 -classifier logreg -codec binary \
 		-duration 1s -replica-budget 100 -cluster-models 8 >/dev/null

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 
 	"mlaasbench/internal/dataset"
 	"mlaasbench/internal/pipeline"
+	"mlaasbench/internal/telemetry"
 )
 
 func TestRetriesTransient5xx(t *testing.T) {
@@ -99,15 +101,18 @@ func TestContextCancellationStopsRetries(t *testing.T) {
 	c := New(srv.URL)
 	c.MaxRetries = 100
 	c.Backoff = 50 * time.Millisecond
+	reg := telemetry.NewRegistry()
+	c.Telemetry = reg
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	_, err := c.Platforms(ctx)
-	if err == nil {
-		t.Fatal("expected error")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error %v, want one wrapping context.DeadlineExceeded", err)
 	}
-	if time.Since(start) > time.Second {
-		t.Fatal("cancellation did not stop the retry loop promptly")
+	// Jittered backoff is at least 25ms, so at most three retries fit in
+	// the 60ms budget; the other 97 must never start.
+	if n := reg.Counter("mlaas_client_retries_total", "endpoint", "platforms").Value(); n > 3 {
+		t.Fatalf("%d retries after the deadline, want ≤ 3", n)
 	}
 }
 

@@ -16,19 +16,21 @@ import (
 	"mlaasbench/internal/telemetry"
 )
 
-// Router is the cluster front end: it owns the public dataset/model id
-// space, consistent-hashes every model onto its R ring owners, and
-// proxies the MLaaS API onto the replica fleet with health-aware
-// failover. Bodies cross the router verbatim — a binary-frame predict is
-// relayed as raw bytes, never decoded or re-encoded — so the PR 7 wire
-// path stays binary hop-to-hop.
+// Router is the cluster front end: it consistent-hashes every model onto
+// its R ring owners and proxies the MLaaS API onto the replica fleet with
+// health-aware failover. Bodies cross the router verbatim — a binary-frame
+// predict is relayed as raw bytes, never decoded or re-encoded — so the
+// PR 7 wire path stays binary hop-to-hop.
 //
-// Ids are the router's, not the replicas': each replica numbers datasets
-// and models with its own local counter, so the router keeps a
-// public-id → per-replica-id map and lazily provisions any owner that is
-// missing an artifact (a late joiner, a restarted replica) by replaying
-// the stored upload/train request. Training is deterministic, so a
-// replayed train produces the same fitted model the original did.
+// Ids are the replicas': dataset and model ids are content addresses, so
+// every replica names the same upload or train identically and the router
+// relays them unchanged. Per id the router keeps only what repair needs —
+// the upload and train bodies and the model's ring owners. When an owner
+// answers 404 for an id the router has a record of (a late joiner, a
+// restarted replica), the router replays the stored bodies onto it and
+// retries once; upload and train are idempotent, so a replay never forks
+// state. A restarted router has no records: it answers 404, and the client
+// re-uploads and re-trains and gets the same ids back.
 type Router struct {
 	ring     *Ring
 	replicas []*replicaState // index-aligned with ring.Members()
@@ -43,36 +45,22 @@ type Router struct {
 	started      time.Time
 
 	mu       sync.RWMutex
-	nextID   int
-	datasets map[string]*routedDataset // key: platform/publicID
-	models   map[string]*routedModel   // key: platform/publicID
+	datasets map[string]*routedDataset // key: platform/id
+	models   map[string]*routedModel   // key: platform/id
 }
 
-// routedDataset is the router's durable record of one upload: the
-// replayable body plus the per-replica remote ids it resolved to.
+// routedDataset is the router's replay record of one upload.
 type routedDataset struct {
-	platform    string
-	body        []byte
 	contentType string
-	samples     int
-	columns     int
-
-	mu     sync.Mutex
-	remote map[string]string // replica name -> remote dataset id
+	body        []byte
 }
 
-// routedModel is the router's durable record of one train request. The
-// ring key fixes the owner set; remote maps each owner to its local
-// model id.
+// routedModel is the router's replay record of one train: the client's
+// train body verbatim, the upload it names, and the model's ring owners.
 type routedModel struct {
-	platform  string
-	datasetID string // public dataset id
-	train     service.TrainRequest
-	key       string
-	owners    []string
-
-	mu     sync.Mutex
-	remote map[string]string // replica name -> remote model id
+	dataset *routedDataset
+	body    []byte
+	owners  []string
 }
 
 // Option configures a Router.
@@ -413,89 +401,76 @@ func (rt *Router) noteFailure(rs *replicaState, route string, err error) {
 	}
 }
 
-// handleUpload buffers the dataset body, assigns the public id, and
-// pushes the dataset to every currently-available replica. Replicas that
-// miss the broadcast (down, warming, joined later) are repaired lazily
-// by ensureDataset on first need.
+// create sends one upload or train to each target replica and relays the
+// outcome: the first deterministic 4xx at once (every replica would reject
+// alike), else the first 201 body verbatim once every target has been
+// tried, after record has stored the router's replay record under its id.
+// Ids are content addresses, so every replica must answer the same one; a
+// replica answering another (version skew) counts as a failed attempt,
+// never a silent fork. It reports false, having written nothing, when no
+// target answered.
+func (rt *Router) create(w http.ResponseWriter, route string, targets []*replicaState,
+	send func(*replicaState) (*proxied, error), record func(id string)) bool {
+	var first *proxied
+	var id string
+	for _, rs := range targets {
+		p, err := send(rs)
+		switch {
+		case err != nil: // transport failure, counted below
+		case p.status == http.StatusCreated:
+			var got struct {
+				ID string `json:"id"`
+			}
+			if err = json.Unmarshal(p.body, &got); err == nil && first == nil {
+				first, id = p, got.ID
+			} else if err == nil && got.ID != id {
+				err = fmt.Errorf("answered id %q, peers %q (version skew)", got.ID, id)
+			}
+		case p.status < 500:
+			rt.noteSuccess(rs, p.status)
+			relay(w, p)
+			return true
+		default:
+			err = fmt.Errorf("http %d", p.status)
+		}
+		if err != nil {
+			rt.noteFailure(rs, route, err)
+			continue
+		}
+		rt.noteSuccess(rs, p.status)
+	}
+	if first == nil {
+		return false
+	}
+	record(id)
+	relay(w, first)
+	return true
+}
+
+// handleUpload buffers the dataset body and pushes it to every
+// currently-available replica. Replicas that miss the broadcast (down,
+// warming, joined later) are repaired on first need (sendRepairing).
 func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
-	platform := r.PathValue("platform")
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		rt.fail(w, r, http.StatusBadRequest, "bad_payload", "read body: %v", err)
 		return
 	}
-	rd := &routedDataset{
-		platform:    platform,
-		body:        body,
-		contentType: r.Header.Get("Content-Type"),
-		remote:      map[string]string{},
-	}
-	var firstResp *proxied
-	for _, rs := range rt.availableReplicas() {
-		p, err := rt.proxy(r, rs, http.MethodPost, "/v1/platforms/"+platform+"/datasets", rd.contentType, body)
-		if err != nil || p.status >= 500 {
-			rt.noteFailure(rs, "upload", err)
-			continue
-		}
-		rt.noteSuccess(rs, p.status)
-		if p.status != http.StatusCreated {
-			// Deterministic rejection (bad dataset, unknown platform):
-			// every replica would answer the same — relay the first.
-			relay(w, p)
-			return
-		}
-		var ur service.UploadResponse
-		if err := json.Unmarshal(p.body, &ur); err != nil {
-			rt.noteFailure(rs, "upload", err)
-			continue
-		}
-		rd.remote[rs.name] = ur.ID
-		if firstResp == nil {
-			firstResp = p
-			rd.samples, rd.columns = ur.Samples, ur.Columns
-		}
-	}
-	if firstResp == nil {
+	rd := &routedDataset{contentType: r.Header.Get("Content-Type"), body: body}
+	if !rt.create(w, "upload", rt.availableReplicas(), func(rs *replicaState) (*proxied, error) {
+		return rt.proxy(r, rs, http.MethodPost, r.URL.Path, rd.contentType, body)
+	}, func(id string) {
+		rt.mu.Lock()
+		rt.datasets[r.PathValue("platform")+"/"+id] = rd
+		rt.mu.Unlock()
+	}) {
 		rt.fail(w, r, http.StatusServiceUnavailable, "no_replica", "no replica accepted the dataset")
-		return
 	}
-	rt.mu.Lock()
-	rt.nextID++
-	id := "ds-" + strconv.Itoa(rt.nextID)
-	rt.datasets[platform+"/"+id] = rd
-	rt.mu.Unlock()
-	rt.writeJSON(w, http.StatusCreated, service.UploadResponse{ID: id, Samples: rd.samples, Columns: rd.columns})
-}
-
-// ensureDataset makes sure rs holds rd, replaying the upload if needed,
-// and returns the replica-local dataset id.
-func (rt *Router) ensureDataset(r *http.Request, rs *replicaState, rd *routedDataset) (string, error) {
-	rd.mu.Lock()
-	defer rd.mu.Unlock()
-	if id, ok := rd.remote[rs.name]; ok {
-		return id, nil
-	}
-	p, err := rt.proxy(r, rs, http.MethodPost, "/v1/platforms/"+rd.platform+"/datasets", rd.contentType, rd.body)
-	if err != nil {
-		return "", err
-	}
-	if p.status != http.StatusCreated {
-		return "", fmt.Errorf("replica %s rejected dataset replay: http %d", rs.name, p.status)
-	}
-	var ur service.UploadResponse
-	if err := json.Unmarshal(p.body, &ur); err != nil {
-		return "", err
-	}
-	rd.remote[rs.name] = ur.ID
-	rt.reg.Counter(telemetry.RouterRepairsTotal, "kind", "dataset").Inc()
-	rt.logf("router: repaired dataset (%s, %d samples) onto %s as %s", rd.platform, rd.samples, rs.name, ur.ID)
-	return ur.ID, nil
 }
 
 // modelRingKey is the ring identity of a model: everything that
-// determines the fitted artifact, in the router's public namespace. It
-// only needs to be internally consistent — the ring decides placement,
-// the replicas decide bytes.
+// determines the fitted artifact. It only needs to be the same in every
+// router — the ring decides placement, the replicas decide bytes.
 func modelRingKey(platform, datasetID string, req service.TrainRequest) string {
 	params := make([]string, 0, len(req.Params))
 	for k, v := range req.Params {
@@ -507,16 +482,21 @@ func modelRingKey(platform, datasetID string, req service.TrainRequest) string {
 		"/" + strings.Join(params, ",") + "/" + strconv.FormatUint(req.Seed, 10)
 }
 
-// handleTrain decodes the train request, picks the model's R ring
-// owners, and trains on every available owner. At least one owner must
-// hold the model before the router acknowledges it.
+// handleTrain reads the train request, picks the model's R ring owners,
+// and forwards the client's bytes verbatim to every available owner. At
+// least one owner must hold the model before the router acknowledges it.
 func (rt *Router) handleTrain(w http.ResponseWriter, r *http.Request) {
-	platform := r.PathValue("platform")
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		rt.fail(w, r, http.StatusBadRequest, "bad_payload", "read body: %v", err)
+		return
+	}
 	var req service.TrainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		rt.fail(w, r, http.StatusBadRequest, "bad_payload", "parse json: %v", err)
 		return
 	}
+	platform := r.PathValue("platform")
 	rt.mu.RLock()
 	rd := rt.datasets[platform+"/"+req.Dataset]
 	rt.mu.RUnlock()
@@ -524,113 +504,67 @@ func (rt *Router) handleTrain(w http.ResponseWriter, r *http.Request) {
 		rt.fail(w, r, http.StatusNotFound, "", "unknown dataset %q on %s", req.Dataset, platform)
 		return
 	}
-	rm := &routedModel{
-		platform:  platform,
-		datasetID: req.Dataset,
-		train:     req,
-		key:       modelRingKey(platform, req.Dataset, req),
-		remote:    map[string]string{},
-	}
-	rm.owners = rt.ring.Owners(rm.key)
-
+	rm := &routedModel{dataset: rd, body: body, owners: rt.ring.Owners(modelRingKey(platform, req.Dataset, req))}
 	now := time.Now()
-	trained := 0
+	var targets []*replicaState
 	for _, owner := range rm.owners {
-		rs := rt.byName[owner]
-		if !rs.available(now) {
-			continue
+		if rs := rt.byName[owner]; rs.available(now) {
+			targets = append(targets, rs)
 		}
-		p, err := rt.trainOn(r, rs, rm)
-		if err != nil {
-			rt.noteFailure(rs, "train", err)
-			continue
-		}
-		if p.status != http.StatusCreated {
-			// A deterministic rejection (bad config): all owners would
-			// reject identically, so relay the replica's verdict as-is.
-			rt.noteSuccess(rs, p.status)
-			relay(w, p)
-			return
-		}
-		rt.noteSuccess(rs, p.status)
-		trained++
 	}
-	if trained == 0 {
+	if !rt.create(w, "train", targets, func(rs *replicaState) (*proxied, error) {
+		return rt.sendRepairing(r, rs, "application/json", body, rd, nil)
+	}, func(id string) {
+		rt.mu.Lock()
+		rt.models[platform+"/"+id] = rm
+		rt.mu.Unlock()
+	}) {
 		rt.fail(w, r, http.StatusServiceUnavailable, "no_replica", "no ring owner available to train (owners: %s)", strings.Join(rm.owners, ", "))
-		return
 	}
-	rt.mu.Lock()
-	rt.nextID++
-	id := "m-" + strconv.Itoa(rt.nextID)
-	rt.models[platform+"/"+id] = rm
-	rt.mu.Unlock()
-	rt.writeJSON(w, http.StatusCreated, service.TrainResponse{ID: id})
 }
 
-// trainOn trains rm on one replica (ensuring its dataset first) and
-// records the replica-local model id. The returned response is the
-// replica's verbatim train response.
-func (rt *Router) trainOn(r *http.Request, rs *replicaState, rm *routedModel) (*proxied, error) {
-	rt.mu.RLock()
-	rd := rt.datasets[rm.platform+"/"+rm.datasetID]
-	rt.mu.RUnlock()
-	if rd == nil {
-		return nil, fmt.Errorf("model's dataset %s/%s is gone", rm.platform, rm.datasetID)
+// sendRepairing proxies r's body to rs at r's own path. A 404 means rs
+// lacks the dataset (train) or model (predict) the router has a record of —
+// it missed the original request, or restarted since — so rd's upload
+// body, then trainBody when set, is replayed onto rs and the request
+// retried once.
+func (rt *Router) sendRepairing(r *http.Request, rs *replicaState, contentType string, body []byte, rd *routedDataset, trainBody []byte) (*proxied, error) {
+	p, err := rt.proxy(r, rs, http.MethodPost, r.URL.Path, contentType, body)
+	if err != nil || p.status != http.StatusNotFound {
+		return p, err
 	}
-	dsID, err := rt.ensureDataset(r, rs, rd)
-	if err != nil {
+	base := "/v1/platforms/" + r.PathValue("platform")
+	if err := rt.replay(r, rs, "dataset", base+"/datasets", rd.contentType, rd.body); err != nil {
 		return nil, err
 	}
-	req := rm.train // copy; rewrite the dataset id into the replica's namespace
-	req.Dataset = dsID
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	p, err := rt.proxy(r, rs, http.MethodPost, "/v1/platforms/"+rm.platform+"/models", "application/json", body)
-	if err != nil {
-		return nil, err
-	}
-	if p.status == http.StatusCreated {
-		var tr service.TrainResponse
-		if err := json.Unmarshal(p.body, &tr); err != nil {
+	if trainBody != nil {
+		if err := rt.replay(r, rs, "model", base+"/models", "application/json", trainBody); err != nil {
 			return nil, err
 		}
-		rm.mu.Lock()
-		rm.remote[rs.name] = tr.ID
-		rm.mu.Unlock()
 	}
-	return p, nil
+	return rt.proxy(r, rs, http.MethodPost, r.URL.Path, contentType, body)
 }
 
-// ensureModel makes sure rs holds rm's fitted model, replaying the train
-// if needed, and returns the replica-local model id.
-func (rt *Router) ensureModel(r *http.Request, rs *replicaState, rm *routedModel) (string, error) {
-	rm.mu.Lock()
-	id, ok := rm.remote[rs.name]
-	rm.mu.Unlock()
-	if ok {
-		return id, nil
-	}
-	p, err := rt.trainOn(r, rs, rm)
+// replay re-sends one stored upload or train body to rs and counts the
+// repair.
+func (rt *Router) replay(r *http.Request, rs *replicaState, kind, path, contentType string, body []byte) error {
+	p, err := rt.proxy(r, rs, http.MethodPost, path, contentType, body)
 	if err != nil {
-		return "", err
+		return err
 	}
 	if p.status != http.StatusCreated {
-		return "", fmt.Errorf("replica %s rejected train replay: http %d", rs.name, p.status)
+		return fmt.Errorf("replica %s rejected %s replay: http %d", rs.name, kind, p.status)
 	}
-	rm.mu.Lock()
-	id = rm.remote[rs.name]
-	rm.mu.Unlock()
-	rt.reg.Counter(telemetry.RouterRepairsTotal, "kind", "model").Inc()
-	rt.logf("router: repaired model %s (%s) onto %s as %s", rm.key, rm.platform, rs.name, id)
-	return id, nil
+	rt.reg.Counter(telemetry.RouterRepairsTotal, "kind", kind).Inc()
+	rt.logf("router: repaired %s onto %s: %s", kind, rs.name, bytes.TrimSpace(p.body))
+	return nil
 }
 
 // handlePredict is the hot path: route the request to the least-loaded
 // of the model's ring owners, relay the body bytes verbatim (binary
 // frames included — no re-encode), and fail over to the next owner on
-// any replica error, including death mid-response. A 4xx is the caller's
+// any replica error, including death mid-response. An owner missing the
+// model is repaired first (sendRepairing). Any other 4xx is the caller's
 // problem and is relayed from the first owner that answers; only replica
 // failures (transport errors, 5xx) move on.
 //
@@ -641,12 +575,12 @@ func (rt *Router) ensureModel(r *http.Request, rs *replicaState, rm *routedModel
 // model→primary assignment from bottlenecking the fleet on one replica.
 // Ties keep ring order, so an idle fleet still routes predictably.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	platform := r.PathValue("platform")
+	platform, model := r.PathValue("platform"), r.PathValue("model")
 	rt.mu.RLock()
-	rm := rt.models[platform+"/"+r.PathValue("model")]
+	rm := rt.models[platform+"/"+model]
 	rt.mu.RUnlock()
 	if rm == nil {
-		rt.fail(w, r, http.StatusNotFound, "", "unknown model %q on %s", r.PathValue("model"), platform)
+		rt.fail(w, r, http.StatusNotFound, "", "unknown model %q on %s", model, platform)
 		return
 	}
 	body, err := io.ReadAll(r.Body)
@@ -674,13 +608,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	for _, cand := range cands {
 		rs := cand.rs
 		attempts++
-		remoteID, err := rt.ensureModel(r, rs, rm)
-		if err != nil {
-			rt.noteFailure(rs, "predict", err)
-			continue
-		}
-		p, err := rt.proxy(r, rs, http.MethodPost,
-			"/v1/platforms/"+platform+"/models/"+remoteID+"/predictions", contentType, body)
+		p, err := rt.sendRepairing(r, rs, contentType, body, rm.dataset, rm.body)
 		if err != nil || p.status >= 500 {
 			rt.noteFailure(rs, "predict", err)
 			continue

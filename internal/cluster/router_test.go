@@ -32,14 +32,33 @@ func clusterSplit(t *testing.T) dataset.Split {
 // ring position is not guaranteed; match by URL).
 func newFleet(t *testing.T, n, replication int) (*httptest.Server, *cluster.Router, []*httptest.Server) {
 	t.Helper()
-	var urls []string
+	reps, _ := newReplicas(t, n)
+	front, rt := newFront(t, reps, replication)
+	return front, rt, reps
+}
+
+// newReplicas starts n in-process replicas, each recording into its own
+// registry.
+func newReplicas(t *testing.T, n int) ([]*httptest.Server, []*telemetry.Registry) {
+	t.Helper()
 	var reps []*httptest.Server
+	var regs []*telemetry.Registry
 	for i := 0; i < n; i++ {
-		api := service.NewServer(func(string, ...any) {}).WithRegistry(telemetry.NewRegistry())
-		srv := httptest.NewServer(api.Handler())
+		reg := telemetry.NewRegistry()
+		srv := httptest.NewServer(service.NewServer(func(string, ...any) {}).WithRegistry(reg).Handler())
 		t.Cleanup(srv.Close)
 		reps = append(reps, srv)
-		urls = append(urls, srv.URL)
+		regs = append(regs, reg)
+	}
+	return reps, regs
+}
+
+// newFront starts a router over reps and returns its test server.
+func newFront(t *testing.T, reps []*httptest.Server, replication int) (*httptest.Server, *cluster.Router) {
+	t.Helper()
+	var urls []string
+	for _, r := range reps {
+		urls = append(urls, r.URL)
 	}
 	rt, err := cluster.NewRouter(urls, cluster.WithReplication(replication))
 	if err != nil {
@@ -47,7 +66,7 @@ func newFleet(t *testing.T, n, replication int) (*httptest.Server, *cluster.Rout
 	}
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
-	return front, rt, reps
+	return front, rt
 }
 
 // TestRouterBinaryPredictMatchesDirect drives the full public API through

@@ -38,8 +38,9 @@ import (
 // units (warm model caches on the other replicas stay useful).
 //
 // Endpoints are mlaas-server replicas addressed directly (not through a
-// router): dataset and model ids are replica-local, so each unit pins
-// its whole upload→train→predict sequence to its assigned endpoint.
+// router), so each unit pins its whole upload→train→predict sequence to
+// its assigned endpoint: ids are content addresses and would mean the same
+// model anywhere, but only that endpoint ever received the unit's upload.
 func RunSweepFleet(ctx context.Context, opts Options, endpoints []string) (*Sweep, error) {
 	if len(endpoints) == 0 {
 		return nil, errors.New("core: fleet sweep needs at least one endpoint")
@@ -79,8 +80,8 @@ func RunSweepFleet(ctx context.Context, opts Options, endpoints []string) (*Swee
 
 	// One client per endpoint, shared by every unit assigned there; the
 	// pooled transport keeps the units on warm connections. Units pin to
-	// their endpoint (no Fallbacks): ids are replica-local, so failover
-	// mid-unit would address a model that does not exist over there.
+	// their endpoint (no Fallbacks): no other endpoint holds the unit's
+	// dataset, and nothing here replays it, so failover mid-unit would 404.
 	ring := cluster.NewRing(endpoints, 0, 1)
 	clients := make(map[string]*client.Client, len(endpoints))
 	for _, ep := range ring.Members() {

@@ -200,13 +200,14 @@ func (c *modelCache) fill(key string, call *fitCall, fit func() (platforms.Fitte
 var errWarmDone = errors.New("service: warm capacity reached")
 
 // warm fills the cache from the disk tier up to capacity, returning how
-// many models were loaded. Runs at boot before serving starts.
-func (c *modelCache) warm() (int, error) {
+// many models were loaded and the artifacts it skipped as undecodable.
+// Runs at boot before serving starts.
+func (c *modelCache) warm() (int, []error, error) {
 	if c.store == nil {
-		return 0, nil
+		return 0, nil, nil
 	}
 	n := 0
-	err := c.store.Models(func(key string, m platforms.FittedModel, load time.Duration) error {
+	skipped, err := c.store.Models(func(key string, m platforms.FittedModel, load time.Duration) error {
 		c.mu.Lock()
 		if c.capacity <= 0 || c.ll.Len() >= c.capacity {
 			c.mu.Unlock()
@@ -224,10 +225,11 @@ func (c *modelCache) warm() (int, error) {
 			Observe(load.Seconds())
 		return nil
 	})
+	c.reg().Counter(telemetry.StoreSkipped).Add(int64(len(skipped)))
 	if errors.Is(err, errWarmDone) {
 		err = nil
 	}
-	return n, err
+	return n, skipped, err
 }
 
 // size reports how many fitted models are resident.

@@ -12,21 +12,25 @@
 //	                                                real 1-click services)
 //	POST /v1/platforms/{p}/models/{id}/predictions → query predictions
 //
-// Models are identified by the (dataset, config, seed) triple and the
-// training substrate is deterministic, so the *durable* identity of a model
-// is its description — a model id always means the same model, even across
-// server restarts. Serving, however, is fit-once: training a model fits the
-// full pipeline immediately and parks the fitted artifact (transform state,
-// classifier weights, hidden preprocessing) in a bounded LRU, so prediction
-// is a pure forward pass — the shape of real MLaaS serving (cf. Clipper's
-// model containers, TensorFlow-Serving's loaded servables). Evicted or
-// restart-lost models transparently refit from their description on the
-// next request, so cache state never affects answers, only latency.
+// Ids are content addresses: a dataset id is a hash of the dataset's bytes
+// and a model id is a hash of its (platform, dataset id, config, seed)
+// description. The training substrate is deterministic, so an id always
+// means the same data or model — across uploads, server restarts, and every
+// replica of a cluster — and upload and train are idempotent. Serving,
+// however, is fit-once: training a model fits the full pipeline
+// immediately and parks the fitted artifact (transform state, classifier
+// weights, hidden preprocessing) in a bounded LRU, so prediction is a pure
+// forward pass — the shape of real MLaaS serving (cf. Clipper's model
+// containers, TensorFlow-Serving's loaded servables). Evicted models
+// transparently reload or refit from their description on the next
+// request, so cache state never affects answers, only latency.
 package service
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,9 +58,8 @@ import (
 type Server struct {
 	mu       sync.RWMutex
 	plats    map[string]platforms.Platform
-	datasets map[string]*storedDataset // key: platform/id
-	models   map[string]*storedModel   // key: platform/id
-	nextID   int
+	datasets map[string]*dataset.Dataset // key: platform/id
+	models   map[string]*storedModel     // key: platform/id
 	logf     func(format string, args ...any)
 	reg      *telemetry.Registry
 	started  time.Time
@@ -82,25 +85,28 @@ type Server struct {
 	profiles *profiling.Store
 }
 
-type storedDataset struct {
-	platform string
-	data     *dataset.Dataset
-}
-
 // storedModel is the durable description of a model; the fitted artifact it
-// resolves to lives in the server's modelCache under modelKey.
+// resolves to lives in the server's modelCache under key.
 type storedModel struct {
-	platform  string
-	datasetID string
-	config    pipeline.Config
-	seed      uint64
+	data   *dataset.Dataset
+	config pipeline.Config
+	seed   uint64
+	key    string // modelKey, computed once at train
 }
 
-// modelKey is the fit-cache identity: everything that determines the
-// trained artifact in the deterministic substrate. Distinct model ids with
-// identical descriptions intentionally share one fitted model.
+// modelKey is the fit-cache and disk-tier identity: everything that
+// determines the trained artifact in the deterministic substrate. The
+// dataset id is itself a content hash, so equal keys mean equal models in
+// every process that ever computed them.
 func modelKey(platform, datasetID string, cfg pipeline.Config, seed uint64) string {
 	return fmt.Sprintf("%s/%s/%s/%d", platform, datasetID, cfg.String(), seed)
+}
+
+// contentID names an artifact by its bytes: prefix plus the first 128 bits
+// of their SHA-256, hex-encoded.
+func contentID(prefix string, b []byte) string {
+	sum := sha256.Sum256(b)
+	return prefix + hex.EncodeToString(sum[:16])
 }
 
 // NewServer constructs a server hosting all platforms. logf defaults to
@@ -114,7 +120,7 @@ func NewServer(logf func(format string, args ...any)) *Server {
 	}
 	s := &Server{
 		plats:    map[string]platforms.Platform{},
-		datasets: map[string]*storedDataset{},
+		datasets: map[string]*dataset.Dataset{},
 		models:   map[string]*storedModel{},
 		logf:     logf,
 		reg:      telemetry.Default(),
@@ -177,10 +183,15 @@ func (s *Server) WithStore(st *store.Store) *Server {
 // WarmFromStore fills the model cache from the attached disk tier, up to
 // the cache capacity, and returns how many models were loaded. A warmed key
 // serves its first predict as a pure forward pass — no refit, miss count
-// zero. Call at boot, before serving starts; on success the server
-// becomes ready (/healthz ready:true) and routers admit it to rotation.
+// zero. Artifacts that do not decode (corrupt, or written by an older
+// format version) are skipped, logged and counted, never fatal. Call at
+// boot, before serving starts; on success the server becomes ready
+// (/healthz ready:true) and routers admit it to rotation.
 func (s *Server) WarmFromStore() (int, error) {
-	n, err := s.fits.warm()
+	n, skipped, err := s.fits.warm()
+	for _, e := range skipped {
+		s.logf("service: warm scan skipped %v", e)
+	}
 	if err == nil {
 		s.notReady.Store(false)
 	}
@@ -249,6 +260,7 @@ func (s *Server) describeMetrics() {
 	s.reg.Describe(telemetry.StoreMisses, "Model-cache misses with no disk artifact (fit ran, artifact persisted).")
 	s.reg.Describe(telemetry.StoreDemotions, "Evicted models demoted to disk artifacts.")
 	s.reg.Describe(telemetry.StoreWarmLoads, "Models warmed into the cache from disk at boot.")
+	s.reg.Describe(telemetry.StoreSkipped, "Disk artifacts the boot warm scan could not decode and skipped.")
 	s.reg.Describe(telemetry.StoreLoadHistogram, "Disk artifact load duration in seconds, by op (hit or warm).")
 }
 
@@ -596,7 +608,8 @@ type UploadRequest struct {
 	Y    []int       `json:"y"`
 }
 
-// UploadResponse returns the stored dataset id.
+// UploadResponse returns the dataset's content id ("ds-" + 32 hex digits):
+// uploading the same dataset again returns the same id.
 type UploadResponse struct {
 	ID      string `json:"id"`
 	Samples int    `json:"samples"`
@@ -642,10 +655,17 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The id hashes the canonical MLDS bytes, name included: stochastic
+	// learners seed from the dataset name, so it is part of what a model
+	// trained on this upload computes.
+	enc, err := store.EncodeDataset(ds)
+	if err != nil {
+		s.fail(w, r, http.StatusBadRequest, "invalid dataset: %v", err)
+		return
+	}
+	id := contentID("ds-", enc)
 	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("ds-%d", s.nextID)
-	s.datasets[p.Name()+"/"+id] = &storedDataset{platform: p.Name(), data: ds}
+	s.datasets[p.Name()+"/"+id] = ds
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, UploadResponse{ID: id, Samples: ds.N(), Columns: ds.D()})
 }
@@ -659,7 +679,8 @@ type TrainRequest struct {
 	Seed       uint64         `json:"seed,omitempty"`
 }
 
-// TrainResponse returns the model id.
+// TrainResponse returns the model's content id ("m-" + 32 hex digits), the
+// same for every train of the same description on any server.
 type TrainResponse struct {
 	ID string `json:"id"`
 }
@@ -676,7 +697,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	sd, ok := s.datasets[p.Name()+"/"+req.Dataset]
+	ds, ok := s.datasets[p.Name()+"/"+req.Dataset]
 	s.mu.RUnlock()
 	if !ok {
 		s.fail(w, r, http.StatusNotFound, "unknown dataset %q on %s", req.Dataset, p.Name())
@@ -691,24 +712,19 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	// artifact in the cache for the first predict. Train errors therefore
 	// surface here, matching the paper's platforms, which likewise failed
 	// at train time. Identical concurrent train requests coalesce into a
-	// single fit.
+	// single fit, and a repeated train is a cache hit returning the same id.
 	ctx := r.Context()
-	if _, _, err := s.fits.get(modelKey(p.Name(), req.Dataset, cfg, req.Seed), func() (platforms.FittedModel, error) {
-		return fitInSpan(ctx, p, cfg, sd.data, req.Seed)
+	key := modelKey(p.Name(), req.Dataset, cfg, req.Seed)
+	if _, _, err := s.fits.get(key, func() (platforms.FittedModel, error) {
+		return fitInSpan(ctx, p, cfg, ds, req.Seed)
 	}); err != nil {
 		s.fail(w, r, http.StatusUnprocessableEntity, "train: %v", err)
 		return
 	}
 
+	id := contentID("m-", []byte(key))
 	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("m-%d", s.nextID)
-	s.models[p.Name()+"/"+id] = &storedModel{
-		platform:  p.Name(),
-		datasetID: req.Dataset,
-		config:    cfg,
-		seed:      req.Seed,
-	}
+	s.models[p.Name()+"/"+id] = &storedModel{data: ds, config: cfg, seed: req.Seed, key: key}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, TrainResponse{ID: id})
 }
@@ -789,22 +805,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusNotFound, "unknown platform %q", r.PathValue("platform"))
 		return
 	}
-	var sd *storedDataset
 	s.mu.RLock()
 	m, ok := s.models[p.Name()+"/"+r.PathValue("model")]
-	if ok {
-		sd = s.datasets[p.Name()+"/"+m.datasetID]
-	}
 	s.mu.RUnlock()
 	if !ok {
 		s.fail(w, r, http.StatusNotFound, "unknown model %q on %s", r.PathValue("model"), p.Name())
 		return
 	}
-	if sd == nil {
-		s.fail(w, r, http.StatusGone, "model's dataset was removed")
-		return
-	}
-	width := sd.data.D()
+	width := m.data.D()
 	binaryIn, binaryOut := negotiatePredict(r)
 	codec := "json"
 	if binaryIn {
@@ -823,8 +831,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	start := time.Now()
 	resCtx, resolve := telemetry.StartSpan(ctx, "model_resolve")
-	fm, refit, err := s.fits.get(modelKey(m.platform, m.datasetID, m.config, m.seed), func() (platforms.FittedModel, error) {
-		return fitInSpan(resCtx, p, m.config, sd.data, m.seed)
+	fm, refit, err := s.fits.get(m.key, func() (platforms.FittedModel, error) {
+		return fitInSpan(resCtx, p, m.config, m.data, m.seed)
 	})
 	path := "forward"
 	if refit {

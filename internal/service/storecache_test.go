@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,9 +52,14 @@ func newStoreFixture(t *testing.T, capacity, nKeys int) *storeFixture {
 		fit:    map[string]func() (platforms.FittedModel, error){},
 		oracle: map[string][]int{},
 	}
+	enc, err := store.EncodeDataset(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsID := contentID("ds-", enc)
 	for i := 0; i < nKeys; i++ {
 		seed := uint64(i + 1)
-		key := fmt.Sprintf("local/ds-1/%s/%d", cfg.String(), seed)
+		key := modelKey("local", dsID, cfg, seed)
 		fx.keys = append(fx.keys, key)
 		fx.fit[key] = func() (platforms.FittedModel, error) { return p.Fit(cfg, train, seed) }
 		m, err := p.Fit(cfg, train, seed)
@@ -137,7 +141,7 @@ func TestWarmFromStoreServesWithoutFit(t *testing.T) {
 	}
 	fresh, reg := testCache(8)
 	fresh.store = fx.store
-	n, err := fresh.warm()
+	n, _, err := fresh.warm()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +180,7 @@ func TestWarmFromStoreRespectsCapacity(t *testing.T) {
 	}
 	small, _ := testCache(2)
 	small.store = fx.store
-	n, err := small.warm()
+	n, _, err := small.warm()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +235,7 @@ func TestConcurrentEvictDemoteWarmRefit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := fx.cache.warm(); err != nil {
+			if _, _, err := fx.cache.warm(); err != nil {
 				t.Errorf("warm: %v", err)
 			}
 		}()

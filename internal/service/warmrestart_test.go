@@ -68,8 +68,9 @@ func TestWarmRestartServesFirstPredictWithoutRefit(t *testing.T) {
 	}
 
 	// Warm restart: a brand-new server over the same store dir. The same
-	// client sequence re-issues the uploads (dataset ids restart at ds-1, so
-	// the model keys are identical) and the trains hit the warmed cache.
+	// client sequence re-issues the uploads (the same bytes hash to the same
+	// dataset ids, so the model keys are identical) and the trains hit the
+	// warmed cache.
 	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)

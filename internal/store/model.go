@@ -12,7 +12,7 @@ import (
 // MLMF fitted-model artifact layout (little-endian):
 //
 //	offset  0: magic "MLMF"
-//	offset  4: u16 version (currently 1)
+//	offset  4: u16 version (currently 2)
 //	offset  6: u16 flags (reserved, 0)
 //	offset  8: u64 payloadLen
 //	offset 16: payload — codec: cache key string, then the
@@ -21,9 +21,13 @@ import (
 //
 // Artifacts are small (coefficients, trees, kNN backing), so the whole file
 // is read, CRC-verified, then decoded — no partial reads to tear.
+//
+// Version 2 marks keys that embed a content-addressed dataset id. Version 1
+// keys embedded a per-process counter ("ds-1"), which names a different
+// dataset in every process, so v1 artifacts are never decoded.
 const (
 	mlmfMagic      = "MLMF"
-	mlmfVersion    = 1
+	mlmfVersion    = 2
 	mlmfHeaderSize = 16
 
 	// maxModelBytes caps how much of a claimed artifact the decoder will

@@ -246,7 +246,7 @@ func TestStorePutGet(t *testing.T) {
 		t.Fatalf("missing key: ok=%v err=%v, want false/nil", ok, err)
 	}
 	seen := 0
-	err = s.Models(func(key string, m platforms.FittedModel, load time.Duration) error {
+	skipped, err := s.Models(func(key string, m platforms.FittedModel, load time.Duration) error {
 		if _, ok := want[key]; !ok {
 			t.Fatalf("Models yielded unknown key %q", key)
 		}
@@ -256,7 +256,7 @@ func TestStorePutGet(t *testing.T) {
 		seen++
 		return nil
 	})
-	if err != nil || seen != 2 {
-		t.Fatalf("Models: seen=%d err=%v", seen, err)
+	if err != nil || seen != 2 || len(skipped) != 0 {
+		t.Fatalf("Models: seen=%d skipped=%v err=%v", seen, skipped, err)
 	}
 }

@@ -89,12 +89,13 @@ func (s *Store) GetModel(key string) (m platforms.FittedModel, ok bool, err erro
 
 // Models iterates every artifact in the store in a stable (filename) order,
 // decoding each and invoking fn with its key, model, and how long the read
-// plus decode took. A decode error stops the iteration; fn returning an
-// error stops it too.
-func (s *Store) Models(fn func(key string, m platforms.FittedModel, load time.Duration) error) error {
+// plus decode took. An artifact that cannot be read or decoded (corrupt, or
+// written under another MLMF version) is skipped and reported in skipped;
+// fn returning an error stops the iteration.
+func (s *Store) Models(fn func(key string, m platforms.FittedModel, load time.Duration) error) (skipped []error, err error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -107,17 +108,19 @@ func (s *Store) Models(fn func(key string, m platforms.FittedModel, load time.Du
 		start := time.Now()
 		data, err := os.ReadFile(filepath.Join(s.dir, name))
 		if err != nil {
-			return fmt.Errorf("store: read %s: %w", name, err)
+			skipped = append(skipped, fmt.Errorf("store: read %s: %w", name, err))
+			continue
 		}
 		key, m, err := DecodeModel(data)
 		if err != nil {
-			return fmt.Errorf("store: decode %s: %w", name, err)
+			skipped = append(skipped, fmt.Errorf("store: decode %s: %w", name, err))
+			continue
 		}
 		if err := fn(key, m, time.Since(start)); err != nil {
-			return err
+			return skipped, err
 		}
 	}
-	return nil
+	return skipped, nil
 }
 
 // Len counts the artifacts currently in the store.

@@ -73,12 +73,14 @@ const (
 	// Store* instrument the disk tier beneath the fitted-model LRU
 	// (internal/store): a store hit loaded an artifact instead of refitting,
 	// a store miss found no artifact for the key (the fit runs and is then
-	// persisted), a demotion wrote an evicted model to disk, and a warm load
-	// filled the cache from disk at boot.
+	// persisted), a demotion wrote an evicted model to disk, a warm load
+	// filled the cache from disk at boot, and a skip is an artifact the warm
+	// scan could not decode (corrupt, or an older MLMF version).
 	StoreHits      = "mlaas_store_hits_total"
 	StoreMisses    = "mlaas_store_misses_total"
 	StoreDemotions = "mlaas_store_demotions_total"
 	StoreWarmLoads = "mlaas_store_warm_loads_total"
+	StoreSkipped   = "mlaas_store_skipped_total"
 
 	// StoreLoadHistogram records how long loading one model artifact from
 	// disk took, labeled op="hit"|"warm" — the disk-tier counterpart of the
@@ -155,6 +157,7 @@ func init() {
 	Default().Describe(StoreMisses, "Model-cache misses with no disk artifact (fit ran, artifact persisted).")
 	Default().Describe(StoreDemotions, "Evicted models demoted to disk artifacts.")
 	Default().Describe(StoreWarmLoads, "Models warmed into the cache from disk at boot.")
+	Default().Describe(StoreSkipped, "Disk artifacts the boot warm scan could not decode and skipped.")
 	Default().Describe(StoreLoadHistogram, "Disk artifact load duration in seconds, by op (hit or warm).")
 	Default().Describe(ProfilingCapturesTotal, "Finished profile bundles, by reason (periodic, trigger, manual).")
 	Default().Describe(ProfilingTriggersTotal, "SLO-watchdog breach captures, by SLO name.")
