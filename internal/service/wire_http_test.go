@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -182,6 +183,9 @@ func TestPredictRejectsBadBodiesBothCodecs(t *testing.T) {
 	url := srv.URL + "/v1/platforms/local/models/" + mID + "/predictions"
 	width := len(sp.Test.X[0])
 
+	// A zero-width frame claiming the row limit: 16 bytes on the wire.
+	zeroWidth := wire.AppendMatrixFrame(nil, [][]float64{{}}, wire.FlagLast)
+	binary.LittleEndian.PutUint32(zeroWidth[8:], wire.MaxFrameRows)
 	wrongWidth := make([][]float64, 2)
 	for i := range wrongWidth {
 		wrongWidth[i] = make([]float64, width+1)
@@ -206,6 +210,7 @@ func TestPredictRejectsBadBodiesBothCodecs(t *testing.T) {
 			wire.EncodeMatrixStream(nil, wrongWidth, 0), "bad_row_width"},
 		{"binary empty body", wire.ContentType, nil, "no_instances"},
 		{"binary garbage", wire.ContentType, []byte("MLWFgarbage-here"), "bad_payload"},
+		{"binary zero-width rows", wire.ContentType, zeroWidth, "bad_payload"},
 		{"binary truncated", wire.ContentType,
 			wire.EncodeMatrixStream(nil, sp.Test.X[:2], 0)[:wire.HeaderSize+3], "bad_payload"},
 	}

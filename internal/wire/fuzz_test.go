@@ -35,6 +35,10 @@ func FuzzFrameDecoder(f *testing.F) {
 	huge := make([]byte, HeaderSize)
 	putHeader(huge, Header{Rows: MaxFrameRows, Cols: 2})
 	f.Add(huge)
+	// Forged zero-width header: many rows, 0-byte payload.
+	zeroWidth := make([]byte, HeaderSize)
+	putHeader(zeroWidth, Header{Flags: FlagLast, Rows: MaxFrameRows})
+	f.Add(zeroWidth)
 	// Over-limit rows/cols.
 	over := make([]byte, HeaderSize)
 	putHeader(over, Header{Rows: 1, Cols: 1})

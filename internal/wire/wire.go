@@ -166,6 +166,12 @@ func parseHeader(b []byte) (Header, error) {
 	if h.Labels() && h.Cols != 1 {
 		return Header{}, formatErr("labels frame cols %d (want 1)", h.Cols)
 	}
+	// A zero-width matrix has a 0-byte payload however many rows it claims,
+	// so the payload cap cannot bound it; decoding would allocate one row
+	// header per claimed row before any caller could check the width.
+	if h.Rows > 0 && h.Cols == 0 {
+		return Header{}, formatErr("matrix frame has %d rows of zero width", h.Rows)
+	}
 	if h.payloadBytes() > MaxFramePayload {
 		return Header{}, formatErr("frame payload %d bytes exceeds limit %d", h.payloadBytes(), MaxFramePayload)
 	}

@@ -226,6 +226,7 @@ func TestDecodeErrors(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[12:], 1<<13)
 		}),
 		"labels cols != 1": corrupt(func(b []byte) { b[5] |= FlagLabels }),
+		"zero-width rows":  corrupt(func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 0) }),
 		"empty body":       {},
 	}
 	for name, body := range cases {
@@ -282,6 +283,29 @@ func TestReaderBoundedAllocation(t *testing.T) {
 		if cap(d.flat) > 2 {
 			t.Errorf("reused=%v: float backing sized to %d before the payload arrived", reused, cap(d.flat))
 		}
+	}
+}
+
+// TestZeroWidthFrameBoundedAllocation: a 16-byte header claiming
+// MaxFrameRows rows of width zero has a 0-byte payload, so no payload cap
+// bounds it. It must be rejected from the header alone, before the Reader
+// sizes one row slice per claimed row (96 MiB of slice headers).
+func TestZeroWidthFrameBoundedAllocation(t *testing.T) {
+	var body [HeaderSize]byte
+	putHeader(body[:], Header{Flags: FlagLast, Rows: MaxFrameRows})
+	d := &Reader{r: bytes.NewReader(body[:])}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rows, _, err := d.NextMatrix()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFormat) || rows != nil {
+		t.Fatalf("got rows=%d err=%v, want no rows and ErrFormat", len(rows), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("zero-width header allocated %d bytes", got)
+	}
+	if cap(d.rows) != 0 {
+		t.Errorf("row headers sized to %d for a rejected frame", cap(d.rows))
 	}
 }
 
