@@ -10,7 +10,8 @@
 # smoke (binary predict through the router, kill-one-replica failover,
 # sharded-sweep-equals-serial, and a 2-replica scaling run), and a 3 s
 # end-to-end benchmark smoke (benchmarks/run.sh on serve_trees: every op
-# checked against the oracle).
+# checked against the oracle), and last a stray-process check (no
+# mlaas-* or v-server process may outlive the gate).
 # CI (.github/workflows/ci.yml) and humans alike should run it before merging.
 
 GO ?= go
@@ -19,7 +20,7 @@ RACE_PKGS := ./internal/telemetry ./internal/service ./internal/client \
 	./internal/wire ./internal/pipeline ./internal/platforms ./internal/store \
 	./internal/profiling ./internal/cluster
 
-.PHONY: all build fmt vet test race check bench bench-quick bench-kernels bench-e2e bench-e2e-smoke loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke perf-run perf-compare perf-report
+.PHONY: all build fmt vet test race check bench bench-quick bench-kernels bench-e2e bench-e2e-smoke loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke no-strays perf-run perf-compare perf-report
 
 all: check
 
@@ -49,7 +50,15 @@ race:
 	$(GO) test -race -run 'TestParallel|TestSweepCancellation' ./internal/core
 	$(GO) test -race -run 'TestPredict|TestKNN|TestSquaredEuclidean' ./internal/classifiers ./internal/linalg
 
-check: fmt vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke bench-e2e-smoke
+check: fmt vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke bench-e2e-smoke no-strays
+
+# Fails if any server, router, load generator or benchmark driver is still
+# running — every target above (and every hand-started process) must stop
+# what it starts. The brackets keep the pattern from matching the shell
+# that runs it; run it on its own, not in a command line that itself names
+# one of those binaries, or it matches that command line.
+no-strays:
+	@! pgrep -af '[v]-server|[m]laas-(server|router|loadgen|benchmark)'
 
 # A ~2s end-to-end run of the closed-loop load generator against in-process
 # servers: proves upload/train/predict and the refit-vs-forward comparison
@@ -66,8 +75,10 @@ trace-smoke:
 	$(GO) run ./cmd/mlaas-trace /tmp/mlaas-trace-smoke.jsonl
 
 # Binary wire-path smoke: the JSON-oracle equivalence and negotiation tests
-# over a live in-process server, the decoder fuzz seed corpus (one pass —
-# malformed frames must 400, never panic), and a short binary-codec loadgen
+# over a live in-process server, the malformed-body cases (wrong width,
+# garbage, truncation, forged zero-width frames — each a clean 400), the
+# decoder fuzz seed corpus (one pass — malformed frames must error, never
+# panic or over-allocate), and a short binary-codec loadgen
 # run end to end. Extend the corpus with `go test -fuzz FuzzFrameDecoder
 # ./internal/wire`.
 wire-smoke:
