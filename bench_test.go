@@ -496,8 +496,8 @@ func BenchmarkAblation_Imputation(b *testing.B) {
 				ds.ImputeConstant(0)
 			}
 			split := ds.StratifiedSplit(0.7, rngSplit(opts.Seed, spec.Name+mode))
-			res, err := pipeline.Run(pipeline.Config{Classifier: "logreg", Params: map[string]any{}},
-				split.Train, split.Test, rngSplit(opts.Seed, "fit"+mode))
+			res, err := pipeline.Run(context.Background(), pipeline.Config{Classifier: "logreg", Params: map[string]any{}},
+				split.Train, split.Test, rngSplit(opts.Seed, "fit"+mode), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

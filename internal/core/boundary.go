@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -31,7 +32,7 @@ func ExtractBoundary(p platforms.Platform, probe *dataset.Dataset, cfg pipeline.
 		return nil, fmt.Errorf("core: boundary probe needs a 2-D dataset, got %d-D", probe.D())
 	}
 	pts := probe.MeshGrid(steps, 0.25)
-	labels, err := p.PredictPoints(cfg, probe, pts, seed)
+	fm, err := p.Fit(cfg, probe, seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: boundary probe on %s: %w", p.Name(), err)
 	}
@@ -40,7 +41,7 @@ func ExtractBoundary(p platforms.Platform, probe *dataset.Dataset, cfg pipeline.
 		Dataset:  probe.Name,
 		Steps:    steps,
 		Points:   pts,
-		Labels:   labels,
+		Labels:   fm.Predict(pts),
 	}, nil
 }
 
@@ -93,10 +94,11 @@ func (b *BoundaryMap) LinearityScore() float64 {
 	}
 	cfg := pipeline.Config{Classifier: "lda", Params: map[string]any{}}
 	meshTrain := &dataset.Dataset{Name: b.Dataset + "/meshfit", X: b.Points, Y: b.Labels}
-	pred, err := pipeline.PredictPoints(cfg, meshTrain, b.Points, rng.New(0xb0d1))
+	fp, err := pipeline.Fit(context.Background(), cfg, meshTrain, rng.New(0xb0d1))
 	if err != nil {
 		return 0
 	}
+	pred := fp.Predict(b.Points)
 	agree := 0
 	for i := range pred {
 		if pred[i] == b.Labels[i] {

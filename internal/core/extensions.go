@@ -73,7 +73,7 @@ func AUCStudy(profile synth.Profile, seed uint64, maxDatasets int) ([]AUCRow, er
 			if !row.HasScore {
 				continue
 			}
-			auc, err := baselineAUC(p, cfg, sp, seed)
+			auc, err := baselineAUC(p, cfg, sp, seed, res.Pred)
 			if err != nil {
 				return nil, err
 			}
@@ -89,15 +89,12 @@ func AUCStudy(profile synth.Profile, seed uint64, maxDatasets int) ([]AUCRow, er
 
 // baselineAUC retrains the platform's configuration locally to obtain
 // scores. Black boxes are scored via their internally chosen config's
-// behaviour: we approximate with the prediction labels (0/1 scores), which
-// is exactly the degraded information an external measurer gets when a
-// service returns a score that is really a hard label.
-func baselineAUC(p platforms.Platform, cfg pipeline.Config, sp dataset.Split, seed uint64) (float64, error) {
+// behaviour: we approximate with pred, their test-set labels from the
+// measured run (0/1 scores), which is exactly the degraded information an
+// external measurer gets when a service returns a score that is really a
+// hard label.
+func baselineAUC(p platforms.Platform, cfg pipeline.Config, sp dataset.Split, seed uint64, pred []int) (float64, error) {
 	if p.BaselineClassifier() == "" {
-		pred, err := p.PredictPoints(cfg, sp.Train, sp.Test.X, seed)
-		if err != nil {
-			return 0, err
-		}
 		scores := make([]float64, len(pred))
 		for i, v := range pred {
 			scores[i] = float64(v)

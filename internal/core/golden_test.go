@@ -12,6 +12,7 @@ import (
 
 	"mlaasbench/internal/pipeline"
 	"mlaasbench/internal/platforms"
+	"mlaasbench/internal/synth"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
@@ -140,5 +141,21 @@ func TestReportsGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("%s differs in length: got %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
+// TestFig3IsReproducible renders the corpus table repeatedly: domains with
+// equal counts must come out in the same order every time (they once
+// followed map iteration order).
+func TestFig3IsReproducible(t *testing.T) {
+	var first string
+	for i := 0; i < 8; i++ {
+		var b strings.Builder
+		WriteFig3(&b, synth.Quick, synth.CorpusSeed)
+		if i == 0 {
+			first = b.String()
+		} else if b.String() != first {
+			t.Fatalf("render %d differs from the first:\n%s\nvs\n%s", i, b.String(), first)
+		}
 	}
 }

@@ -330,16 +330,10 @@ func runUnit(pl *pool, plan unitPlan, sp dataset.Split, dsName string, opts Opti
 
 // measureOne runs a single configuration of a plan on one split as its own
 // root trace ("measure" span with platform/dataset/config attrs, pipeline
-// stages as children). Platforms implementing ContextRunner get the traced
-// path; CachedRunner/Run remain as fallbacks for external Platform
-// implementations. Black boxes get a nil cache either way (their hidden
-// probe fits on internal re-splits the cache cannot represent).
+// stages as children). Black boxes ignore the cache (their hidden probe
+// fits on internal re-splits the cache cannot represent).
 func measureOne(ctx context.Context, plan unitPlan, cfg pipeline.Config, sp dataset.Split, dsName string, opts Options, cache *pipeline.FeatCache) (Measurement, error) {
 	p := plan.platform
-	unitCache := cache
-	if plan.blackBox {
-		unitCache = nil
-	}
 	mctx, span := telemetry.StartSpan(ctx, "measure")
 	if opts.PredictShards > 1 {
 		mctx = pipeline.WithPredictShards(mctx, opts.PredictShards)
@@ -349,17 +343,7 @@ func measureOne(ctx context.Context, plan unitPlan, cfg pipeline.Config, sp data
 		span.SetAttr("config", cfg.String())
 	}
 	start := time.Now()
-	var (
-		res pipeline.Result
-		err error
-	)
-	if cr, ok := p.(platforms.ContextRunner); ok {
-		res, err = cr.RunCtx(mctx, cfg, sp.Train, sp.Test, opts.Seed, unitCache)
-	} else if cr, ok := p.(platforms.CachedRunner); ok && unitCache != nil {
-		res, err = cr.RunCached(cfg, sp.Train, sp.Test, opts.Seed, unitCache)
-	} else {
-		res, err = p.Run(cfg, sp.Train, sp.Test, opts.Seed)
-	}
+	res, err := p.RunCtx(mctx, cfg, sp.Train, sp.Test, opts.Seed, cache)
 	if err != nil {
 		span.SetError(err)
 		span.End()

@@ -21,26 +21,23 @@ import (
 // breakdown and the 3(b)/3(c) sample/feature count distributions.
 func WriteFig3(w io.Writer, p synth.Profile, seed uint64) {
 	specs := synth.Corpus()
-	domains := map[dataset.Domain]int{}
+	counts := map[dataset.Domain]int{}
+	var domains []dataset.Domain // in order of first appearance
 	var samples, feats []float64
 	for _, spec := range specs {
-		domains[spec.Domain]++
+		if counts[spec.Domain] == 0 {
+			domains = append(domains, spec.Domain)
+		}
+		counts[spec.Domain]++
 		ds := synth.GenerateClean(spec, p, seed)
 		samples = append(samples, float64(ds.N()))
 		feats = append(feats, float64(ds.D()))
 	}
 	fmt.Fprintf(w, "Figure 3(a): application domains (%d datasets)\n", len(specs))
-	type dc struct {
-		d dataset.Domain
-		n int
-	}
-	var dcs []dc
-	for d, n := range domains {
-		dcs = append(dcs, dc{d, n})
-	}
-	sort.Slice(dcs, func(a, b int) bool { return dcs[a].n > dcs[b].n })
-	for _, e := range dcs {
-		fmt.Fprintf(w, "  %-24s %3d\n", e.d, e.n)
+	// Ties keep corpus order, so the table is the same on every run.
+	sort.SliceStable(domains, func(a, b int) bool { return counts[domains[a]] > counts[domains[b]] })
+	for _, d := range domains {
+		fmt.Fprintf(w, "  %-24s %3d\n", d, counts[d])
 	}
 	fmt.Fprintf(w, "Figure 3(b): samples per dataset (profile %s)\n", p.Name)
 	writeQuantiles(w, samples)

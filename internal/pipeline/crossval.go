@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 
 	"mlaasbench/internal/dataset"
@@ -46,7 +47,7 @@ func CrossValidate(cfg Config, ds *dataset.Dataset, k int, r *rng.RNG) ([]metric
 		}
 		train := ds.Subset(trainIdx, fmt.Sprintf("/cv%d-train", fi))
 		test := ds.Subset(testIdx, fmt.Sprintf("/cv%d-test", fi))
-		res, err := Run(cfg, train, test, r.Split(fmt.Sprintf("cv/%d", fi)))
+		res, err := Run(context.Background(), cfg, train, test, r.Split(fmt.Sprintf("cv/%d", fi)), nil)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: fold %d: %w", fi, err)
 		}

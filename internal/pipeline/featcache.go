@@ -24,7 +24,8 @@ import (
 //
 // A FeatCache is scoped to exactly one split. Handing the same cache two
 // different splits is a programming error and will silently return the first
-// split's transforms.
+// split's transforms. A nil *FeatCache is valid and caches nothing: every
+// call computes afresh, with identical results.
 type FeatCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -68,6 +69,9 @@ func (c *FeatCache) entry(key string) *cacheEntry {
 // executing compute finishes. Platforms use this for hidden per-split
 // preprocessing that is not a FEAT option (Amazon's quantile binning).
 func (c *FeatCache) Memo(key string, compute func() (any, error)) (any, error) {
+	if c == nil {
+		return compute()
+	}
 	e := c.entry(key)
 	e.once.Do(func() { e.val, e.err = compute() })
 	return e.val, e.err
@@ -75,25 +79,23 @@ func (c *FeatCache) Memo(key string, compute func() (any, error)) (any, error) {
 
 // Transform returns the FEAT-transformed train/test matrices for f, fitting
 // the transform at most once. The "none" option bypasses the cache — it has
-// nothing to fit and its matrices are the split's own.
-func (c *FeatCache) Transform(f Feat, train, test *dataset.Dataset) (xTr, xTe [][]float64, err error) {
-	return c.TransformCtx(context.Background(), f, train, test)
-}
-
-// TransformCtx is Transform with context-routed telemetry: the fitting
-// goroutine's featsel/preprocess stage lands in its trace, and hit/miss
+// nothing to fit and its matrices are the split's own. The fitting
+// goroutine's featsel/preprocess stage lands in ctx's trace, and hit/miss
 // counters go to ctx's registry (Default when absent). Coalesced waiters
 // record a hit but no stage time — they did no fitting work.
-func (c *FeatCache) TransformCtx(ctx context.Context, f Feat, train, test *dataset.Dataset) (xTr, xTe [][]float64, err error) {
+func (c *FeatCache) Transform(ctx context.Context, f Feat, train, test *dataset.Dataset) (xTr, xTe [][]float64, err error) {
 	if f.Kind == "" || f.Kind == "none" {
 		return train.X, test.X, nil
+	}
+	if c == nil {
+		return applyFeat(ctx, f, train, test)
 	}
 	e := c.entry("feat/" + f.String())
 	fitted := false
 	e.once.Do(func() {
 		fitted = true
 		var v featXY
-		v.xTr, v.xTe, e.err = applyFeatCtx(ctx, f, train, test)
+		v.xTr, v.xTe, e.err = applyFeat(ctx, f, train, test)
 		e.val = v
 	})
 	reg := telemetry.RegistryFrom(ctx)

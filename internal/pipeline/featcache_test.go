@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -45,12 +46,18 @@ func TestFeatCacheMatchesDirectApply(t *testing.T) {
 	}
 	cache := NewFeatCache()
 	for _, f := range feats {
-		wantTr, wantTe, err := applyFeat(f, train, test)
+		wantTr, wantTe, err := applyFeat(context.Background(), f, train, test)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
+		// A nil cache computes afresh every call.
+		var uncached *FeatCache
+		if gotTr, gotTe, err := uncached.Transform(context.Background(), f, train, test); err != nil ||
+			!reflect.DeepEqual(gotTr, wantTr) || !reflect.DeepEqual(gotTe, wantTe) {
+			t.Fatalf("%s: nil cache differs from direct (err %v)", f, err)
+		}
 		for round := 0; round < 3; round++ {
-			gotTr, gotTe, err := cache.Transform(f, train, test)
+			gotTr, gotTe, err := cache.Transform(context.Background(), f, train, test)
 			if err != nil {
 				t.Fatalf("%s round %d: %v", f, round, err)
 			}
@@ -61,18 +68,18 @@ func TestFeatCacheMatchesDirectApply(t *testing.T) {
 	}
 }
 
-// Full pipeline equivalence: RunWithCache must score identically to Run for
-// every FEAT option, repeatedly (hits and misses alike).
+// Full pipeline equivalence: Run with a cache must score identically to Run
+// without one for every FEAT option, repeatedly (hits and misses alike).
 func TestRunWithCacheMatchesRun(t *testing.T) {
 	train, test := cacheTestSplit(t)
 	cache := NewFeatCache()
 	for _, f := range []Feat{{Kind: "none"}, {Kind: "scaler", Name: "standard"}, {Kind: "filter", Name: "fisher"}, {Kind: "fisherlda"}} {
 		cfg := Config{Feat: f, Classifier: "logreg", Params: map[string]any{}}
-		want, err := Run(cfg, train, test, rng.New(3))
+		want, err := Run(context.Background(), cfg, train, test, rng.New(3), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunWithCache(cfg, train, test, rng.New(3), cache)
+		got, err := Run(context.Background(), cfg, train, test, rng.New(3), cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +107,7 @@ func TestFeatCacheConcurrentSingleFit(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			xTr, _, err := cache.Transform(Feat{Kind: "scaler", Name: "standard"}, train, test)
+			xTr, _, err := cache.Transform(context.Background(), Feat{Kind: "scaler", Name: "standard"}, train, test)
 			if err != nil {
 				t.Error(err)
 				return
@@ -131,8 +138,8 @@ func TestFeatCacheMemoizesErrors(t *testing.T) {
 	train, test := cacheTestSplit(t)
 	cache := NewFeatCache()
 	bad := Feat{Kind: "filter", Name: "no-such-method"}
-	_, _, err1 := cache.Transform(bad, train, test)
-	_, _, err2 := cache.Transform(bad, train, test)
+	_, _, err1 := cache.Transform(context.Background(), bad, train, test)
+	_, _, err2 := cache.Transform(context.Background(), bad, train, test)
 	if err1 == nil || err2 == nil {
 		t.Fatal("expected errors for unknown filter")
 	}

@@ -29,13 +29,13 @@ func (t *FittedTransform) Feat() Feat { return t.feat }
 
 // FitFeat fits the FEAT option on the training set and returns the reusable
 // transform plus the transformed training matrix. Apply on any rows then
-// yields exactly what applyFeat would produce for the same fitted state, so
+// yields exactly what Run would produce for the same fitted state, so
 // fit-once serving stays byte-identical to the refit path.
 func FitFeat(f Feat, train *dataset.Dataset) (*FittedTransform, [][]float64, error) {
 	return FitFeatCtx(context.Background(), f, train)
 }
 
-// FitFeatCtx is FitFeat with context-routed stage timing (see RunCtx).
+// FitFeatCtx is FitFeat with context-routed stage timing (see Run).
 func FitFeatCtx(ctx context.Context, f Feat, train *dataset.Dataset) (*FittedTransform, [][]float64, error) {
 	switch f.Kind {
 	case "scaler":
@@ -84,7 +84,7 @@ func (t *FittedTransform) Apply(points [][]float64) [][]float64 {
 	return t.ApplyCtx(context.Background(), points)
 }
 
-// ApplyCtx is Apply with context-routed stage timing (see RunCtx).
+// ApplyCtx is Apply with context-routed stage timing (see Run).
 func (t *FittedTransform) ApplyCtx(ctx context.Context, points [][]float64) [][]float64 {
 	switch t.feat.Kind {
 	case "", "none":
@@ -128,16 +128,12 @@ type FittedPipeline struct {
 }
 
 // Fit trains the configuration on train and returns the reusable fitted
-// pipeline. The RNG discipline matches Run and PredictPoints exactly — the
-// classifier trains under r.Split("fit/"+cfg.String()) — so Fit followed by
-// Predict yields labels byte-identical to PredictPoints with the same
-// arguments: same seed, same model.
-func Fit(cfg Config, train *dataset.Dataset, r *rng.RNG) (*FittedPipeline, error) {
-	return FitCtx(context.Background(), cfg, train, r)
-}
-
-// FitCtx is Fit with context-routed stage timing (see RunCtx).
-func FitCtx(ctx context.Context, cfg Config, train *dataset.Dataset, r *rng.RNG) (*FittedPipeline, error) {
+// pipeline. The RNG discipline matches Run exactly — the classifier trains
+// under r.Split("fit/"+cfg.String()) — so Fit followed by Predict on the
+// test rows yields labels byte-identical to Run's Pred with the same
+// arguments: same seed, same model. Stage timing is context-routed (see
+// Run).
+func Fit(ctx context.Context, cfg Config, train *dataset.Dataset, r *rng.RNG) (*FittedPipeline, error) {
 	t, xTr, err := FitFeatCtx(ctx, cfg.Feat, train)
 	if err != nil {
 		return nil, err
@@ -162,7 +158,7 @@ func (fp *FittedPipeline) Predict(points [][]float64) []int {
 	return fp.PredictCtx(context.Background(), points)
 }
 
-// PredictCtx is Predict with context-routed stage timing (see RunCtx).
+// PredictCtx is Predict with context-routed stage timing (see Run).
 func (fp *FittedPipeline) PredictCtx(ctx context.Context, points [][]float64) []int {
 	xQ := fp.transform.ApplyCtx(ctx, points)
 	stop := telemetry.TimeCtx(ctx, "predict")

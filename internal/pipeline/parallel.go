@@ -14,7 +14,7 @@ const minRowsPerShard = 16
 type predictShardsKey struct{}
 
 // WithPredictShards sets the shard count PredictShardsFrom reports for this
-// context — how many goroutines RunCtx's predict/score stage may fan a test
+// context — how many goroutines Run's predict/score stage may fan a test
 // set across. It follows the core scheduler's worker-count convention:
 // values <= 0 mean "one shard per CPU".
 func WithPredictShards(ctx context.Context, shards int) context.Context {

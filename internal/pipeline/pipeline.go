@@ -97,34 +97,18 @@ type Result struct {
 
 // Run executes the config on the given split: fit FEAT on the training
 // data, transform both sides, train the classifier, predict the test set
-// and score. The RNG governs all stochastic training steps.
-func Run(cfg Config, train, test *dataset.Dataset, r *rng.RNG) (Result, error) {
-	return RunCtx(context.Background(), cfg, train, test, r, nil)
-}
-
-// RunWithCache is Run with an optional per-split FeatCache: when cache is
-// non-nil the FEAT transform is fitted at most once per option and the
-// transformed matrices are shared read-only across configs. A nil cache
-// fits per call, exactly like Run.
-func RunWithCache(cfg Config, train, test *dataset.Dataset, r *rng.RNG, cache *FeatCache) (Result, error) {
-	return RunCtx(context.Background(), cfg, train, test, r, cache)
-}
-
-// RunCtx is RunWithCache threaded through a context: stage timings become
-// child spans when ctx carries a span (so a measured config renders as one
-// trace tree) and land in ctx's registry, falling back to plain Default
-// registry timers otherwise. The computation itself is context-free —
-// cancellation is the sweep scheduler's job, between configs.
-func RunCtx(ctx context.Context, cfg Config, train, test *dataset.Dataset, r *rng.RNG, cache *FeatCache) (Result, error) {
-	var (
-		xTr, xTe [][]float64
-		err      error
-	)
-	if cache != nil {
-		xTr, xTe, err = cache.TransformCtx(ctx, cfg.Feat, train, test)
-	} else {
-		xTr, xTe, err = applyFeatCtx(ctx, cfg.Feat, train, test)
-	}
+// and score. The RNG governs all stochastic training steps. With a non-nil
+// cache the FEAT transform is fitted at most once per option and the
+// transformed matrices are shared read-only across configs; a nil cache
+// fits per call, with identical results.
+//
+// Stage timings become child spans when ctx carries a span (so a measured
+// config renders as one trace tree) and land in ctx's registry, falling
+// back to plain Default registry timers otherwise. The computation itself
+// is context-free — cancellation is the sweep scheduler's job, between
+// configs.
+func Run(ctx context.Context, cfg Config, train, test *dataset.Dataset, r *rng.RNG, cache *FeatCache) (Result, error) {
+	xTr, xTe, err := cache.Transform(ctx, cfg.Feat, train, test)
 	if err != nil {
 		return Result{}, err
 	}
@@ -150,40 +134,11 @@ func RunCtx(ctx context.Context, cfg Config, train, test *dataset.Dataset, r *rn
 	return Result{Config: cfg, Scores: scores, Pred: pred}, nil
 }
 
-// PredictPoints trains the config on train and labels arbitrary query
-// points — the mesh-grid primitive behind the §6.1 decision-boundary
-// analysis.
-func PredictPoints(cfg Config, train *dataset.Dataset, points [][]float64, r *rng.RNG) ([]int, error) {
-	queries := &dataset.Dataset{Name: train.Name + "/mesh", X: points, Y: make([]int, len(points))}
-	xTr, xQ, err := applyFeat(cfg.Feat, train, queries)
-	if err != nil {
-		return nil, err
-	}
-	clf, err := classifiers.New(cfg.Classifier, cfg.Params)
-	if err != nil {
-		return nil, err
-	}
-	stopFit := telemetry.Time("fit")
-	err = clf.Fit(xTr, train.Y, r.Split("fit/"+cfg.String()))
-	stopFit()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: fit %s: %w", cfg.Classifier, err)
-	}
-	stopPredict := telemetry.Time("predict")
-	pred := clf.Predict(xQ)
-	stopPredict()
-	return pred, nil
-}
-
 // applyFeat fits the FEAT option on the training set and transforms both
-// feature matrices — FitFeat plus one Apply. Scaling records under the
-// "preprocess" stage, filter methods and Fisher-LDA under "featsel"; the
-// no-op option records nothing.
-func applyFeat(f Feat, train, test *dataset.Dataset) (xTr, xTe [][]float64, err error) {
-	return applyFeatCtx(context.Background(), f, train, test)
-}
-
-func applyFeatCtx(ctx context.Context, f Feat, train, test *dataset.Dataset) (xTr, xTe [][]float64, err error) {
+// feature matrices — FitFeatCtx plus one ApplyCtx. Scaling records under
+// the "preprocess" stage, filter methods and Fisher-LDA under "featsel";
+// the no-op option records nothing.
+func applyFeat(ctx context.Context, f Feat, train, test *dataset.Dataset) (xTr, xTe [][]float64, err error) {
 	t, xTr, err := FitFeatCtx(ctx, f, train)
 	if err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,7 +34,7 @@ func smallSurface() Surface {
 func TestRunProducesScores(t *testing.T) {
 	sp := testSplit(t)
 	cfg := Config{Feat: Feat{Kind: "none"}, Classifier: "logreg", Params: classifiers.Params{}}
-	res, err := Run(cfg, sp.Train, sp.Test, rng.New(3))
+	res, err := Run(context.Background(), cfg, sp.Train, sp.Test, rng.New(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestRunAllFeatKinds(t *testing.T) {
 	}
 	for _, f := range feats {
 		cfg := Config{Feat: f, Classifier: "logreg", Params: classifiers.Params{}}
-		res, err := Run(cfg, sp.Train, sp.Test, rng.New(4))
+		res, err := Run(context.Background(), cfg, sp.Train, sp.Test, rng.New(4), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
@@ -69,7 +70,7 @@ func TestRunAllFeatKinds(t *testing.T) {
 func TestRunUnknownClassifier(t *testing.T) {
 	sp := testSplit(t)
 	cfg := Config{Classifier: "nope"}
-	if _, err := Run(cfg, sp.Train, sp.Test, rng.New(1)); err == nil {
+	if _, err := Run(context.Background(), cfg, sp.Train, sp.Test, rng.New(1), nil); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -77,7 +78,7 @@ func TestRunUnknownClassifier(t *testing.T) {
 func TestRunUnknownFeat(t *testing.T) {
 	sp := testSplit(t)
 	cfg := Config{Feat: Feat{Kind: "wavelet"}, Classifier: "logreg"}
-	if _, err := Run(cfg, sp.Train, sp.Test, rng.New(1)); err == nil {
+	if _, err := Run(context.Background(), cfg, sp.Train, sp.Test, rng.New(1), nil); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -85,24 +86,25 @@ func TestRunUnknownFeat(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	sp := testSplit(t)
 	cfg := Config{Classifier: "randomforest", Params: classifiers.Params{"n_estimators": 5}}
-	a, err := Run(cfg, sp.Train, sp.Test, rng.New(7))
+	a, err := Run(context.Background(), cfg, sp.Train, sp.Test, rng.New(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Run(cfg, sp.Train, sp.Test, rng.New(7))
+	b, _ := Run(context.Background(), cfg, sp.Train, sp.Test, rng.New(7), nil)
 	if a.Scores != b.Scores {
 		t.Fatalf("nondeterministic: %+v vs %+v", a.Scores, b.Scores)
 	}
 }
 
-func TestPredictPoints(t *testing.T) {
+func TestFitPredictsMeshGrid(t *testing.T) {
 	sp := testSplit(t)
 	pts := sp.Train.MeshGrid(10, 0.5)
 	cfg := Config{Classifier: "dtree"}
-	labels, err := PredictPoints(cfg, sp.Train, pts, rng.New(5))
+	fp, err := Fit(context.Background(), cfg, sp.Train, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	labels := fp.Predict(pts)
 	if len(labels) != 100 {
 		t.Fatalf("%d labels for 100 points", len(labels))
 	}
@@ -304,7 +306,7 @@ func TestQuickAnySurfaceConfigRuns(t *testing.T) {
 	configs := Enumerate(surface)
 	f := func(pick uint16, seed uint64) bool {
 		cfg := configs[int(pick)%len(configs)]
-		res, err := Run(cfg, sp.Train, sp.Test, rng.New(seed))
+		res, err := Run(context.Background(), cfg, sp.Train, sp.Test, rng.New(seed), nil)
 		if err != nil {
 			return false
 		}
@@ -321,7 +323,7 @@ func TestQuickAnySurfaceConfigRuns(t *testing.T) {
 func TestFilterReducesDimensions(t *testing.T) {
 	ds := synth.GenerateClean(synth.Spec{Name: "wide", Gen: synth.GenLinear, N: 100, D: 10, Noise: 0.2}, synth.Quick, 9)
 	sp := ds.StratifiedSplit(0.7, rng.New(2))
-	xTr, xTe, err := applyFeat(Feat{Kind: "filter", Name: "fisher"}, sp.Train, sp.Test)
+	xTr, xTe, err := applyFeat(context.Background(), Feat{Kind: "filter", Name: "fisher"}, sp.Train, sp.Test)
 	if err != nil {
 		t.Fatal(err)
 	}

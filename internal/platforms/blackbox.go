@@ -48,19 +48,14 @@ func (b *blackBox) BaselineClassifier() string { return "" }
 // choose runs the hidden model-selection probe: split the uploaded training
 // data internally, train both candidates, keep the one that wins on the
 // internal validation fold (with the linear default retained unless the
-// non-linear candidate clearly wins).
-func (b *blackBox) choose(train *dataset.Dataset, r *rng.RNG) pipeline.Config {
-	return b.chooseCtx(context.Background(), train, r)
-}
-
-// chooseCtx is choose threaded through a context so the probe's internal
-// fits land in the caller's trace. The RNG streams are identical to choose.
-func (b *blackBox) chooseCtx(ctx context.Context, train *dataset.Dataset, r *rng.RNG) pipeline.Config {
+// non-linear candidate clearly wins). The probe's internal fits land in
+// ctx's trace.
+func (b *blackBox) choose(ctx context.Context, train *dataset.Dataset, r *rng.RNG) pipeline.Config {
 	linearCfg := b.candidate(b.linearName)
 	nonLinearCfg := b.candidate(b.nonLinearName)
 	sp := train.StratifiedSplit(0.7, r.Split("probe-split"))
-	linRes, errLin := pipeline.RunCtx(ctx, linearCfg, sp.Train, sp.Test, r.Split("probe-lin"), nil)
-	nonRes, errNon := pipeline.RunCtx(ctx, nonLinearCfg, sp.Train, sp.Test, r.Split("probe-non"), nil)
+	linRes, errLin := pipeline.Run(ctx, linearCfg, sp.Train, sp.Test, r.Split("probe-lin"), nil)
+	nonRes, errNon := pipeline.Run(ctx, nonLinearCfg, sp.Train, sp.Test, r.Split("probe-non"), nil)
 	switch {
 	case errLin != nil && errNon != nil:
 		return linearCfg
@@ -83,19 +78,14 @@ func (b *blackBox) candidate(name string) pipeline.Config {
 	return pipeline.Config{Feat: pipeline.Feat{Kind: "none"}, Classifier: name, Params: params}
 }
 
-// Run implements Platform. The user config is ignored: the service accepts
-// only the dataset, like the real 1-click APIs.
-func (b *blackBox) Run(cfg pipeline.Config, train, test *dataset.Dataset, seed uint64) (pipeline.Result, error) {
-	return b.RunCtx(context.Background(), cfg, train, test, seed, nil)
-}
-
-// RunCtx implements ContextRunner. The cache is ignored: the black boxes
-// expose no FEAT dimension and their hidden probe depends on the seed, so
-// there is nothing split-cacheable.
+// RunCtx implements Platform. The user config is ignored: the service
+// accepts only the dataset, like the real 1-click APIs. The cache is
+// ignored too: the black boxes expose no FEAT dimension and their hidden
+// probe depends on the seed, so there is nothing split-cacheable.
 func (b *blackBox) RunCtx(ctx context.Context, _ pipeline.Config, train, test *dataset.Dataset, seed uint64, _ *pipeline.FeatCache) (pipeline.Result, error) {
 	r := runRNG(b.name, train.Name, seed)
-	cfg := b.chooseCtx(ctx, train, r.Split("choose"))
-	res, err := pipeline.RunCtx(ctx, cfg, train, test, r.Split("final"), nil)
+	cfg := b.choose(ctx, train, r.Split("choose"))
+	res, err := pipeline.Run(ctx, cfg, train, test, r.Split("final"), nil)
 	if err != nil {
 		return pipeline.Result{}, err
 	}
@@ -106,27 +96,25 @@ func (b *blackBox) RunCtx(ctx context.Context, _ pipeline.Config, train, test *d
 	return res, err
 }
 
-// PredictPoints implements Platform.
-func (b *blackBox) PredictPoints(_ pipeline.Config, train *dataset.Dataset, points [][]float64, seed uint64) ([]int, error) {
-	r := runRNG(b.name, train.Name, seed)
-	cfg := b.choose(train, r.Split("choose"))
-	return pipeline.PredictPoints(cfg, train, points, r.Split("final"))
+// Run implements Platform.
+func (b *blackBox) Run(cfg pipeline.Config, train, test *dataset.Dataset, seed uint64) (pipeline.Result, error) {
+	return b.RunCtx(context.Background(), cfg, train, test, seed, nil)
 }
 
-// Fit implements Platform: run the hidden selection probe once, train the
-// chosen candidate once, and keep the result resident. The RNG stream is
-// exactly the one PredictPoints consumes ("choose" then "final"), so the
-// fitted model — including which family the probe picked — predicts
-// byte-identically to the refit path.
-func (b *blackBox) Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
-	return b.FitCtx(context.Background(), cfg, train, seed)
-}
-
-// FitCtx implements ContextFitter.
+// FitCtx implements Platform: run the hidden selection probe once, train
+// the chosen candidate once, and keep the result resident. The RNG stream
+// is exactly the one RunCtx consumes ("choose" then "final"), so the fitted
+// model — including which family the probe picked — predicts the test rows
+// byte-identically to RunCtx.
 func (b *blackBox) FitCtx(ctx context.Context, _ pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
 	r := runRNG(b.name, train.Name, seed)
-	cfg := b.chooseCtx(ctx, train, r.Split("choose"))
-	return pipeline.FitCtx(ctx, cfg, train, r.Split("final"))
+	cfg := b.choose(ctx, train, r.Split("choose"))
+	return pipeline.Fit(ctx, cfg, train, r.Split("final"))
+}
+
+// Fit implements Platform.
+func (b *blackBox) Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
+	return b.FitCtx(context.Background(), cfg, train, seed)
 }
 
 // ChosenFamily exposes whether the hidden probe picks the non-linear
@@ -135,7 +123,7 @@ func (b *blackBox) FitCtx(ctx context.Context, _ pipeline.Config, train *dataset
 // never call it.
 func (b *blackBox) ChosenFamily(train *dataset.Dataset, seed uint64) (nonLinear bool) {
 	r := runRNG(b.name, train.Name, seed)
-	cfg := b.choose(train, r.Split("choose"))
+	cfg := b.choose(context.Background(), train, r.Split("choose"))
 	return cfg.Classifier == b.nonLinearName
 }
 

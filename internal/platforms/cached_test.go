@@ -1,6 +1,7 @@
 package platforms
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -29,47 +30,35 @@ func cachedTestSplit(t *testing.T) dataset.Split {
 	return ds.StratifiedSplit(0.7, rng.New(22))
 }
 
-// RunCached must be observationally identical to Run on every platform that
-// implements it — the cache removes redundant fitting, nothing else. Amazon
+// RunCtx with a cache must be observationally identical to Run on every
+// platform — the cache removes redundant fitting, nothing else. Amazon
 // matters most here: its override must preserve the hidden binning.
 func TestRunCachedMatchesRun(t *testing.T) {
 	sp := cachedTestSplit(t)
-	for _, name := range Names() {
-		p, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cr, ok := p.(CachedRunner)
-		if !ok {
-			if p.BaselineClassifier() != "" {
-				t.Errorf("%s: user-surface platform should implement CachedRunner", name)
-			}
-			continue
-		}
+	for _, p := range All() {
+		name := p.Name()
 		cache := pipeline.NewFeatCache()
 		configs := pipeline.Enumerate(p.Surface())
 		if len(configs) > 12 {
 			configs = configs[:12]
+		}
+		if len(configs) == 0 {
+			configs = []pipeline.Config{{}} // black boxes take only the data
 		}
 		for _, cfg := range configs {
 			want, err := p.Run(cfg, sp.Train, sp.Test, 5)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, cfg, err)
 			}
-			got, err := cr.RunCached(cfg, sp.Train, sp.Test, 5, cache)
-			if err != nil {
-				t.Fatalf("%s %s cached: %v", name, cfg, err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s %s: cached result differs from Run", name, cfg)
-			}
-			// Second pass hits the cache.
-			again, err := cr.RunCached(cfg, sp.Train, sp.Test, 5, cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, again) {
-				t.Fatalf("%s %s: cache hit differs from Run", name, cfg)
+			// The second pass hits the cache.
+			for pass := 0; pass < 2; pass++ {
+				got, err := p.RunCtx(context.Background(), cfg, sp.Train, sp.Test, 5, cache)
+				if err != nil {
+					t.Fatalf("%s %s cached: %v", name, cfg, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s %s pass %d: cached result differs from Run", name, cfg, pass)
+				}
 			}
 		}
 	}

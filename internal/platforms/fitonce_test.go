@@ -32,9 +32,10 @@ func assertSameLabels(t *testing.T, ctx string, got, want []int) {
 
 // TestFitOnceMatchesRefitEveryPlatform is the serving-path equivalence
 // proof: for every platform — including the black boxes' hidden probe and
-// Amazon's hidden binning — Fit followed by Predict yields labels
-// byte-identical to the legacy retrain-per-call PredictPoints path, and a
-// resident model answers repeated queries identically (no hidden state).
+// Amazon's hidden binning — Fit followed by Predict on the test rows yields
+// labels byte-identical to Run's Pred, the sweep's own retrain-per-call
+// path, and a resident model answers repeated queries identically (no
+// hidden state).
 func TestFitOnceMatchesRefitEveryPlatform(t *testing.T) {
 	for _, ds := range fitOnceDatasets() {
 		sp := ds.StratifiedSplit(0.7, rng.New(3))
@@ -54,14 +55,14 @@ func TestFitOnceMatchesRefitEveryPlatform(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Fit: %v", ctx, err)
 				}
-				want, err := p.PredictPoints(cfg, ds, points, seed)
+				want, err := p.Run(cfg, ds, sp.Test, seed)
 				if err != nil {
-					t.Fatalf("%s: PredictPoints: %v", ctx, err)
+					t.Fatalf("%s: Run: %v", ctx, err)
 				}
-				assertSameLabels(t, ctx, m.Predict(points), want)
+				assertSameLabels(t, ctx, m.Predict(points), want.Pred)
 				// A fitted model is a pure function of its training: a second
 				// forward pass must not drift.
-				assertSameLabels(t, ctx+" (reuse)", m.Predict(points), want)
+				assertSameLabels(t, ctx+" (reuse)", m.Predict(points), want.Pred)
 			}
 		}
 	}
@@ -105,15 +106,15 @@ func TestFitOnceMatchesRefitNonDefaultConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Fit: %v", ctx, err)
 		}
-		want, err := p.PredictPoints(cfg, ds, points, 7)
+		want, err := p.Run(cfg, ds, sp.Test, 7)
 		if err != nil {
-			t.Fatalf("%s: PredictPoints: %v", ctx, err)
+			t.Fatalf("%s: Run: %v", ctx, err)
 		}
-		assertSameLabels(t, ctx, m.Predict(points), want)
+		assertSameLabels(t, ctx, m.Predict(points), want.Pred)
 	}
 }
 
-// TestFitValidatesSurface mirrors Run/PredictPoints: a classifier outside
+// TestFitValidatesSurface mirrors Run: a classifier outside
 // the platform's surface is rejected at fit time.
 func TestFitValidatesSurface(t *testing.T) {
 	ds := fitOnceDatasets()[0]

@@ -41,63 +41,39 @@ type Platform interface {
 	// baseline ("logreg" wherever the control exists; "" for black boxes,
 	// whose baseline is their automatic pipeline).
 	BaselineClassifier() string
-	// Run trains and evaluates one configuration on the split. Black-box
+	// RunCtx trains and evaluates one configuration on the split. Black-box
 	// platforms ignore cfg (they accept only the data, like the real
-	// 1-click services).
+	// 1-click services). A non-nil cache shares fitted FEAT transforms and
+	// hidden per-split preprocessing across the configurations measured on
+	// one split; it only removes redundant fitting, never changes what is
+	// fitted, so the result is identical with a nil cache. ctx routes
+	// pipeline stage timings into the caller's trace and registry, never
+	// randomness.
+	RunCtx(ctx context.Context, cfg pipeline.Config, train, test *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (pipeline.Result, error)
+	// Run is RunCtx with a background context and no cache.
 	Run(cfg pipeline.Config, train, test *dataset.Dataset, seed uint64) (pipeline.Result, error)
-	// PredictPoints trains on train and labels arbitrary query points —
-	// the primitive the §6.1 boundary probing uses. It refits per call;
-	// serving paths use Fit once and the returned model's Predict instead.
-	PredictPoints(cfg pipeline.Config, train *dataset.Dataset, points [][]float64, seed uint64) ([]int, error)
-	// Fit trains one configuration and returns a reusable fitted model.
+	// FitCtx trains one configuration and returns a reusable fitted model.
 	// The artifact bundles everything the platform's pipeline learned —
 	// fitted scaler/filter/LDA, trained classifier, hidden preprocessing
-	// (Amazon's binner) and the black boxes' resolved candidate choice —
-	// so Predict on it is byte-identical to PredictPoints with the same
-	// arguments (same seed → same model), without retraining.
+	// (Amazon's binner) and the black boxes' resolved candidate choice.
+	// It trains under the same RNG stream as RunCtx with the same seed, so
+	// its Predict on the test rows is byte-identical to RunCtx's Pred.
+	FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error)
+	// Fit is FitCtx with a background context.
 	Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error)
 }
 
 // FittedModel is a trained, reusable predictor — the artifact a real
 // serving system keeps resident after training (cf. TensorFlow-Serving's
 // loaded servable, Clipper's model container) so prediction is a pure
-// lookup + forward pass. Predict takes points in the uploaded dataset's
-// original feature space and is safe for concurrent use: nothing in the
-// fitted pipeline mutates after Fit.
+// lookup + forward pass. PredictCtx takes points in the uploaded dataset's
+// original feature space, records its per-stage timings
+// (preprocess/featsel/predict) as spans in ctx's trace, and is safe for
+// concurrent use: nothing in the fitted pipeline mutates after Fit.
 type FittedModel interface {
-	Predict(points [][]float64) []int
-}
-
-// CachedRunner is the optional fast path the sweep engine uses: platforms
-// that implement it can share fitted FEAT transforms (and hidden per-split
-// preprocessing) across the many configurations measured on one split. The
-// result must be identical to Run with the same arguments; the cache only
-// removes redundant fitting, never changes what is fitted.
-type CachedRunner interface {
-	RunCached(cfg pipeline.Config, train, test *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (pipeline.Result, error)
-}
-
-// ContextRunner is the optional trace-aware path: RunCached threaded
-// through a context so pipeline stage timings become spans in the caller's
-// trace tree and land in the caller's registry. cache may be nil (black
-// boxes ignore it — they have nothing split-cacheable). The measurements
-// must be identical to Run/RunCached with the same arguments; the context
-// only routes telemetry, never randomness.
-type ContextRunner interface {
-	RunCtx(ctx context.Context, cfg pipeline.Config, train, test *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (pipeline.Result, error)
-}
-
-// ContextFitter is the optional trace-aware Fit, used by the serving layer
-// so model fits show up inside the request's trace.
-type ContextFitter interface {
-	FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error)
-}
-
-// ContextPredictor is the optional trace-aware forward pass on a fitted
-// model: per-stage timings (preprocess/featsel/predict) become spans in the
-// serving request's trace instead of standalone histogram observations.
-type ContextPredictor interface {
 	PredictCtx(ctx context.Context, points [][]float64) []int
+	// Predict is PredictCtx with a background context.
+	Predict(points [][]float64) []int
 }
 
 // Names lists the platforms in complexity order (Figure 4's x-axis).
@@ -163,46 +139,31 @@ func (u *userPlatform) validate(cfg pipeline.Config) error {
 	return fmt.Errorf("platforms: %s does not offer classifier %q", u.name, cfg.Classifier)
 }
 
-func (u *userPlatform) Run(cfg pipeline.Config, train, test *dataset.Dataset, seed uint64) (pipeline.Result, error) {
-	if err := u.validate(cfg); err != nil {
-		return pipeline.Result{}, err
-	}
-	return pipeline.Run(cfg, train, test, runRNG(u.name, train.Name, seed))
-}
-
-// RunCached implements CachedRunner: identical to Run, with FEAT transforms
-// fitted at most once per (split, option) via the cache.
-func (u *userPlatform) RunCached(cfg pipeline.Config, train, test *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (pipeline.Result, error) {
-	return u.RunCtx(context.Background(), cfg, train, test, seed, cache)
-}
-
-// RunCtx implements ContextRunner.
+// RunCtx implements Platform.
 func (u *userPlatform) RunCtx(ctx context.Context, cfg pipeline.Config, train, test *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (pipeline.Result, error) {
 	if err := u.validate(cfg); err != nil {
 		return pipeline.Result{}, err
 	}
-	return pipeline.RunCtx(ctx, cfg, train, test, runRNG(u.name, train.Name, seed), cache)
+	return pipeline.Run(ctx, cfg, train, test, runRNG(u.name, train.Name, seed), cache)
 }
 
-func (u *userPlatform) PredictPoints(cfg pipeline.Config, train *dataset.Dataset, points [][]float64, seed uint64) ([]int, error) {
-	if err := u.validate(cfg); err != nil {
-		return nil, err
-	}
-	return pipeline.PredictPoints(cfg, train, points, runRNG(u.name, train.Name, seed))
+// Run implements Platform.
+func (u *userPlatform) Run(cfg pipeline.Config, train, test *dataset.Dataset, seed uint64) (pipeline.Result, error) {
+	return u.RunCtx(context.Background(), cfg, train, test, seed, nil)
 }
 
-// Fit implements Platform: validate against the surface, then train the
-// standard pipeline once under the same RNG stream PredictPoints derives.
-func (u *userPlatform) Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
-	return u.FitCtx(context.Background(), cfg, train, seed)
-}
-
-// FitCtx implements ContextFitter.
+// FitCtx implements Platform: validate against the surface, then train the
+// standard pipeline once under the same RNG stream RunCtx derives.
 func (u *userPlatform) FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
 	if err := u.validate(cfg); err != nil {
 		return nil, err
 	}
-	return pipeline.FitCtx(ctx, cfg, train, runRNG(u.name, train.Name, seed))
+	return pipeline.Fit(ctx, cfg, train, runRNG(u.name, train.Name, seed))
+}
+
+// Fit implements Platform.
+func (u *userPlatform) Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
+	return u.FitCtx(context.Background(), cfg, train, seed)
 }
 
 // runRNG derives the deterministic RNG for one platform/dataset run.

@@ -100,8 +100,8 @@ func TestUserPlatformRejectsForeignClassifier(t *testing.T) {
 	if _, err := amazon.Run(cfg, sp.Train, sp.Test, 1); err == nil {
 		t.Fatal("amazon must reject classifiers it does not offer")
 	}
-	if _, err := amazon.PredictPoints(cfg, sp.Train, sp.Train.MeshGrid(5, 0.1), 1); err == nil {
-		t.Fatal("amazon must reject classifiers in PredictPoints too")
+	if _, err := amazon.Fit(cfg, sp.Train, 1); err == nil {
+		t.Fatal("amazon must reject classifiers in Fit too")
 	}
 }
 
@@ -160,14 +160,11 @@ func TestBlackBoxBoundaryShapes(t *testing.T) {
 		}
 		center := [][]float64{{0, 0}, {0.05, -0.05}, {-0.05, 0.05}}
 		corners := [][]float64{{1.4, 1.4}, {-1.4, 1.4}, {1.4, -1.4}, {-1.4, -1.4}}
-		centerPred, err := p.PredictPoints(cfg, circle, center, 13)
+		m, err := p.Fit(cfg, circle, 13)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cornerPred, err := p.PredictPoints(cfg, circle, corners, 13)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		centerPred, cornerPred := m.Predict(center), m.Predict(corners)
 		centerPos, cornerPos := 0, 0
 		for _, v := range centerPred {
 			centerPos += v
@@ -216,10 +213,11 @@ func TestGoogleLinearBoundaryOnLINEAR(t *testing.T) {
 		tt := float64(i)/steps*3.0 - 1.0 // extend past both means
 		pts = append(pts, []float64{m0[0] + tt*(m1[0]-m0[0]), m0[1] + tt*(m1[1]-m0[1])})
 	}
-	pred, err := google.PredictPoints(pipeline.Config{}, linear, pts, 17)
+	m, err := google.Fit(pipeline.Config{}, linear, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pred := m.Predict(pts)
 	flips := 0
 	for i := 1; i < len(pred); i++ {
 		if pred[i] != pred[i-1] {

@@ -33,88 +33,51 @@ func newAmazon() *Amazon {
 	}}
 }
 
-// Run implements Platform, inserting the hidden binning step.
-func (a *Amazon) Run(cfg pipeline.Config, train, test *dataset.Dataset, seed uint64) (pipeline.Result, error) {
-	if err := a.validate(cfg); err != nil {
-		return pipeline.Result{}, err
-	}
-	q := a.binner(train)
-	bTrain, bTest := train.Clone(), test.Clone()
-	bTrain.X = q.Transform(train.X)
-	bTest.X = q.Transform(test.X)
-	return pipeline.Run(cfg, bTrain, bTest, runRNG(a.name, train.Name, seed))
-}
-
-// RunCached implements CachedRunner. Amazon has no FEAT dimension, so the
-// cache's transform path is idle here; what dominates its per-config cost is
-// re-fitting the hidden binner and re-binning both matrices, which depend
-// only on the split. Both are memoized in the cache instead. (The override
-// matters for correctness too: the embedded userPlatform.RunCached would
-// skip the hidden binning entirely.)
-func (a *Amazon) RunCached(cfg pipeline.Config, train, test *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (pipeline.Result, error) {
-	return a.RunCtx(context.Background(), cfg, train, test, seed, cache)
-}
-
-// RunCtx implements ContextRunner; same memoization as RunCached, with
-// stage timings routed into the caller's trace and registry.
+// RunCtx implements Platform, inserting the hidden binning step. Amazon
+// has no FEAT dimension, so the cache's transform path is idle here; what
+// dominates its per-config cost is fitting the hidden binner and binning
+// both matrices, which depend only on the split, so a non-nil cache
+// memoizes them instead. (The override is a correctness matter too: the
+// embedded userPlatform.RunCtx would skip the hidden binning entirely.)
 func (a *Amazon) RunCtx(ctx context.Context, cfg pipeline.Config, train, test *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (pipeline.Result, error) {
 	if err := a.validate(cfg); err != nil {
 		return pipeline.Result{}, err
 	}
-	if cache == nil {
-		q := a.binner(train)
-		bTrain, bTest := train.Clone(), test.Clone()
-		bTrain.X = q.Transform(train.X)
-		bTest.X = q.Transform(test.X)
-		return pipeline.RunCtx(ctx, cfg, bTrain, bTest, runRNG(a.name, train.Name, seed), nil)
-	}
 	v, err := cache.Memo("amazon/binned", func() (any, error) {
 		q := a.binner(train)
-		bTrain, bTest := train.Clone(), test.Clone()
-		bTrain.X = q.Transform(train.X)
-		bTest.X = q.Transform(test.X)
-		return [2]*dataset.Dataset{bTrain, bTest}, nil
+		return [2]*dataset.Dataset{binned(q, train), binned(q, test)}, nil
 	})
 	if err != nil {
 		return pipeline.Result{}, err
 	}
-	binned := v.([2]*dataset.Dataset)
-	return pipeline.RunCtx(ctx, cfg, binned[0], binned[1], runRNG(a.name, train.Name, seed), nil)
+	split := v.([2]*dataset.Dataset)
+	return pipeline.Run(ctx, cfg, split[0], split[1], runRNG(a.name, train.Name, seed), nil)
 }
 
-// PredictPoints implements Platform.
-func (a *Amazon) PredictPoints(cfg pipeline.Config, train *dataset.Dataset, points [][]float64, seed uint64) ([]int, error) {
-	if err := a.validate(cfg); err != nil {
-		return nil, err
-	}
-	q := a.binner(train)
-	bTrain := train.Clone()
-	bTrain.X = q.Transform(train.X)
-	return pipeline.PredictPoints(cfg, bTrain, q.Transform(points), runRNG(a.name, train.Name, seed))
+// Run implements Platform.
+func (a *Amazon) Run(cfg pipeline.Config, train, test *dataset.Dataset, seed uint64) (pipeline.Result, error) {
+	return a.RunCtx(context.Background(), cfg, train, test, seed, nil)
 }
 
-// Fit implements Platform: the fitted artifact bundles the hidden binner
+// FitCtx implements Platform: the fitted artifact bundles the hidden binner
 // with the trained pipeline, so query points are binned with the statistics
-// learned at train time — exactly what PredictPoints recomputes per call.
-// (As with RunCached, the embedded userPlatform.Fit would skip the hidden
-// binning entirely, so the override is a correctness matter.)
-func (a *Amazon) Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
-	return a.FitCtx(context.Background(), cfg, train, seed)
-}
-
-// FitCtx implements ContextFitter.
+// learned at train time. (As with RunCtx, the embedded userPlatform.FitCtx
+// would skip the hidden binning entirely.)
 func (a *Amazon) FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
 	if err := a.validate(cfg); err != nil {
 		return nil, err
 	}
 	q := a.binner(train)
-	bTrain := train.Clone()
-	bTrain.X = q.Transform(train.X)
-	fp, err := pipeline.FitCtx(ctx, cfg, bTrain, runRNG(a.name, train.Name, seed))
+	fp, err := pipeline.Fit(ctx, cfg, binned(q, train), runRNG(a.name, train.Name, seed))
 	if err != nil {
 		return nil, err
 	}
 	return &binnedModel{q: q, fp: fp}, nil
+}
+
+// Fit implements Platform.
+func (a *Amazon) Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
+	return a.FitCtx(context.Background(), cfg, train, seed)
 }
 
 // binnedModel pairs Amazon's hidden quantile binner with a trained pipeline
@@ -124,20 +87,28 @@ type binnedModel struct {
 	fp *pipeline.FittedPipeline
 }
 
+// PredictCtx implements FittedModel.
+func (m *binnedModel) PredictCtx(ctx context.Context, points [][]float64) []int {
+	return m.fp.PredictCtx(ctx, m.q.Transform(points))
+}
+
 // Predict implements FittedModel.
 func (m *binnedModel) Predict(points [][]float64) []int {
 	return m.PredictCtx(context.Background(), points)
-}
-
-// PredictCtx implements ContextPredictor.
-func (m *binnedModel) PredictCtx(ctx context.Context, points [][]float64) []int {
-	return m.fp.PredictCtx(ctx, m.q.Transform(points))
 }
 
 func (*Amazon) binner(train *dataset.Dataset) *preprocess.OneHotBinning {
 	q := &preprocess.OneHotBinning{Bins: 12}
 	q.Fit(train.X)
 	return q
+}
+
+// binned returns ds with every feature passed through the hidden binner q.
+// Only X is replaced; labels and metadata are shared read-only.
+func binned(q *preprocess.OneHotBinning, ds *dataset.Dataset) *dataset.Dataset {
+	b := *ds
+	b.X = q.Transform(ds.X)
+	return &b
 }
 
 // BigML simulates BigML's supervised-learning surface: Logistic Regression,

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,8 @@ import (
 type stubModel struct{ id int }
 
 func (m *stubModel) Predict(points [][]float64) []int { return make([]int, len(points)) }
+
+func (m *stubModel) PredictCtx(_ context.Context, points [][]float64) []int { return m.Predict(points) }
 
 func testCache(capacity int) (*modelCache, *telemetry.Registry) {
 	reg := telemetry.NewRegistry()

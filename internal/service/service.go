@@ -851,10 +851,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// attach concurrently to the forward span; the trace tree is
 	// mutex-guarded so that is safe.
 	fwdCtx, forward := telemetry.StartSpan(ctx, "forward")
-	predict := fm.Predict
-	if cp, ok := fm.(platforms.ContextPredictor); ok {
-		predict = func(points [][]float64) []int { return cp.PredictCtx(fwdCtx, points) }
-	}
+	predict := func(points [][]float64) []int { return fm.PredictCtx(fwdCtx, points) }
 	predictRows := func(instances [][]float64) []int {
 		return pipeline.PredictSharded(predict, instances, pipeline.ShardCount(len(instances), s.predictShards))
 	}
@@ -977,20 +974,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PredictResponse{Labels: labels})
 }
 
-// fitInSpan runs the platform fit inside a "model_fit" child span of ctx,
-// taking the trace-aware fit path when the platform offers one (the
-// pipeline's own "fit"/"preprocess"/"featsel" stage spans nest below it).
+// fitInSpan runs the platform fit inside a "model_fit" child span of ctx
+// (the pipeline's own "fit"/"preprocess"/"featsel" stage spans nest below
+// it).
 // It only runs for the request that actually fits: coalesced waiters and
 // cache hits never enter the modelCache fill function.
 func fitInSpan(ctx context.Context, p platforms.Platform, cfg pipeline.Config, ds *dataset.Dataset, seed uint64) (platforms.FittedModel, error) {
 	fitCtx, span := telemetry.StartSpan(ctx, "model_fit")
-	var fm platforms.FittedModel
-	var err error
-	if cf, ok := p.(platforms.ContextFitter); ok {
-		fm, err = cf.FitCtx(fitCtx, cfg, ds, seed)
-	} else {
-		fm, err = p.Fit(cfg, ds, seed)
-	}
+	fm, err := p.FitCtx(fitCtx, cfg, ds, seed)
 	span.SetError(err)
 	span.End()
 	return fm, err

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -62,7 +63,7 @@ func TestModelRoundTripEveryClassifier(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := pipeline.Config{Feat: pipeline.Feat{Kind: "none"}, Classifier: name, Params: params}
-		fp, err := pipeline.Fit(cfg, train, rng.New(11))
+		fp, err := pipeline.Fit(context.Background(), cfg, train, rng.New(11))
 		if err != nil {
 			t.Fatalf("%s: Fit: %v", name, err)
 		}

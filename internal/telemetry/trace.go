@@ -371,9 +371,6 @@ func (r *Registry) Time(stage string) func() time.Duration {
 	}
 }
 
-// Time is Registry.Time on the Default registry.
-func Time(stage string) func() time.Duration { return Default().Time(stage) }
-
 // TimeCtx times a stage under ctx: when ctx carries a span the stage
 // becomes a child span (so it lands in the trace tree AND the stage
 // histogram — one observation, two views, which is what keeps trace sums

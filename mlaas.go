@@ -128,7 +128,7 @@ func Platforms() []string { return platforms.Names() }
 // RunPipeline executes one configuration on a split using the local
 // library (no platform restrictions) and returns its scores.
 func RunPipeline(cfg Config, split SplitT, seed uint64) (Scores, error) {
-	res, err := pipeline.Run(cfg, split.Train, split.Test, rng.New(seed))
+	res, err := pipeline.Run(context.Background(), cfg, split.Train, split.Test, rng.New(seed), nil)
 	if err != nil {
 		return Scores{}, err
 	}
