@@ -254,58 +254,44 @@ func TestDecodeErrors(t *testing.T) {
 // tiny body must fail after allocating roughly what arrived, not what was
 // claimed — on a fresh Reader and on a pooled one that has already decoded
 // a frame. The forged claim is the 64 MiB cap; the budget is 1 MiB (one
-// 256 KiB growth step, twice over under the race detector, plus slack).
+// 256 KiB growth step, twice over under the race detector, plus slack). A
+// zero-width header claiming the row limit has a 0-byte payload, so no
+// payload cap bounds it: it must be rejected from the header alone, before
+// the Reader sizes one row slice per claimed row (96 MiB of slice headers).
 func TestReaderBoundedAllocation(t *testing.T) {
-	var head [HeaderSize]byte
+	var head, zeroWidth [HeaderSize]byte
 	putHeader(head[:], Header{Rows: MaxFrameRows, Cols: 2}) // 64 MiB claim
-	body := append(head[:], 1, 2, 3)
+	putHeader(zeroWidth[:], Header{Flags: FlagLast, Rows: MaxFrameRows})
+	bodies := map[string][]byte{
+		"forged payload": append(head[:], 1, 2, 3),
+		"zero width":     zeroWidth[:],
+	}
 	warm := AppendMatrixFrame(nil, [][]float64{{1, 2}}, FlagLast)
 
-	d := new(Reader)
-	for _, reused := range []bool{false, true} {
-		if reused {
-			d.r = bytes.NewReader(warm)
-			if _, _, err := d.NextMatrix(); err != nil {
-				t.Fatal(err)
+	for name, body := range bodies {
+		d := new(Reader)
+		for _, reused := range []bool{false, true} {
+			if reused {
+				d.r = bytes.NewReader(warm)
+				if _, _, err := d.NextMatrix(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d.r = bytes.NewReader(body)
+			rows, _, err := d.NextMatrix()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrFormat) || rows != nil {
+				t.Fatalf("%s reused=%v: got %d rows, err=%v, want no rows and ErrFormat", name, reused, len(rows), err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("%s reused=%v: forged header allocated %d bytes", name, reused, got)
+			}
+			if cap(d.flat) > 2 || cap(d.rows) > 1 {
+				t.Errorf("%s reused=%v: buffers sized to %d floats, %d rows before the payload arrived", name, reused, cap(d.flat), cap(d.rows))
 			}
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		d.r = bytes.NewReader(body)
-		rows, _, err := d.NextMatrix()
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrFormat) || rows != nil {
-			t.Fatalf("reused=%v: got rows=%v err=%v, want no rows and ErrFormat", reused, rows, err)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-			t.Errorf("reused=%v: forged 64 MiB header allocated %d bytes", reused, got)
-		}
-		if cap(d.flat) > 2 {
-			t.Errorf("reused=%v: float backing sized to %d before the payload arrived", reused, cap(d.flat))
-		}
-	}
-}
-
-// TestZeroWidthFrameBoundedAllocation: a 16-byte header claiming
-// MaxFrameRows rows of width zero has a 0-byte payload, so no payload cap
-// bounds it. It must be rejected from the header alone, before the Reader
-// sizes one row slice per claimed row (96 MiB of slice headers).
-func TestZeroWidthFrameBoundedAllocation(t *testing.T) {
-	var body [HeaderSize]byte
-	putHeader(body[:], Header{Flags: FlagLast, Rows: MaxFrameRows})
-	d := &Reader{r: bytes.NewReader(body[:])}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rows, _, err := d.NextMatrix()
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrFormat) || rows != nil {
-		t.Fatalf("got rows=%d err=%v, want no rows and ErrFormat", len(rows), err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Errorf("zero-width header allocated %d bytes", got)
-	}
-	if cap(d.rows) != 0 {
-		t.Errorf("row headers sized to %d for a rejected frame", cap(d.rows))
 	}
 }
 
