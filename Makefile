@@ -52,7 +52,7 @@ race:
 
 check: fmt vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke bench-e2e-smoke no-strays
 
-# Fails if any server, router, load generator or benchmark driver is still
+# Fails if any server, router, load generator or benchmark binary is still
 # running — every target above (and every hand-started process) must stop
 # what it starts. The brackets keep the pattern from matching the shell
 # that runs it; run it on its own, not in a command line that itself names
