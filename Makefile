@@ -5,13 +5,13 @@
 # short loadgen smoke that exercises the serving path end-to-end, a wire
 # smoke (binary-vs-JSON equivalence over a live server + decoder fuzz seed
 # corpus), a perf-tracking smoke (mlaas-perf run/compare/report against
-# perf/results/), a profiling smoke (bundle capture -> list -> diff
-# through mlaas-profile, SLO watchdog tests under -race), and a cluster
-# smoke (binary predict through the router, kill-one-replica failover,
-# sharded-sweep-equals-serial, and a 2-replica scaling run), and a 3 s
+# perf/results/), a profiling smoke (bundle capture, then go tool pprof
+# -top and -diff_base over the bundles, SLO watchdog tests under -race),
+# and a cluster smoke (binary predict through the router, kill-one-replica
+# failover, sharded-sweep-equals-serial, and a 2-replica scaling run), and a 3 s
 # end-to-end benchmark smoke (benchmarks/run.sh on serve_trees: every op
 # checked against the oracle), and last a stray-process check (no
-# mlaas-* or v-server process may outlive the gate).
+# mlaas-*, v-server, pprof or go test binary may outlive the gate).
 # CI (.github/workflows/ci.yml) and humans alike should run it before merging.
 
 GO ?= go
@@ -52,13 +52,14 @@ race:
 
 check: fmt vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke bench-e2e-smoke no-strays
 
-# Fails if any server, router, load generator or benchmark binary is still
-# running — every target above (and every hand-started process) must stop
-# what it starts. The brackets keep the pattern from matching the shell
-# that runs it; run it on its own, not in a command line that itself names
-# one of those binaries, or it matches that command line.
+# Fails if any server, router, load generator or benchmark binary, go tool
+# pprof, or go test binary (<pkg>.test -test.*) is still running — every
+# target above (and every hand-started process) must stop what it starts.
+# The brackets keep the pattern from matching the shell that runs it; run
+# it on its own, not in a command line that itself names one of those
+# binaries, or it matches that command line.
 no-strays:
-	@! pgrep -af '[v]-server|[m]laas-(server|router|loadgen|benchmark)'
+	@! pgrep -af '[v]-server|[m]laas-(server|router|loadgen|benchmark)|[p]kg/tool/[^ ]*/pprof|[.]test -test[.]'
 
 # A ~2s end-to-end run of the closed-loop load generator against in-process
 # servers: proves upload/train/predict and the refit-vs-forward comparison
@@ -113,19 +114,22 @@ perf-smoke:
 	$(GO) run ./cmd/mlaas-perf compare -candidate /tmp/mlaas-perf-smoke.json -report-only
 	$(GO) run ./cmd/mlaas-perf report >/dev/null
 
-# Continuous-profiling smoke: a capture -> list -> diff round trip through
-# the real CLI against bundles captured during a loadgen pass, plus the SLO
-# watchdog's window arithmetic and trigger path under the race detector.
-# (The full e2e — breach-triggered capture with trace refs, hot-symbol
-# diff — runs in `make test` via internal/profiling; this target proves
-# the operator-facing loop.)
+# Continuous-profiling smoke: bundles captured during a loadgen pass are
+# read by the toolchain's own reader — the bundle list, a top-10 of the
+# latest CPU profile, and a first-vs-latest diff (at least two bundles) —
+# plus the SLO watchdog's window arithmetic and trigger path under the
+# race detector. (The full e2e — breach-triggered capture with trace refs,
+# hot-symbol diff through go tool pprof — runs in `make test` via
+# internal/profiling; this target proves the operator-facing loop.)
 profile-smoke:
-	rm -rf /tmp/mlaas-profile-smoke
+	rm -rf /tmp/mlaas-smoke-profiles
 	$(GO) run ./cmd/mlaas-loadgen -clients 2 -batch 32 -duration 1s \
-		-profile-dir /tmp/mlaas-profile-smoke >/dev/null
-	$(GO) run ./cmd/mlaas-profile -dir /tmp/mlaas-profile-smoke list
-	$(GO) run ./cmd/mlaas-profile -dir /tmp/mlaas-profile-smoke show latest >/dev/null
-	$(GO) run ./cmd/mlaas-profile -dir /tmp/mlaas-profile-smoke diff first latest -top 5
+		-profile-dir /tmp/mlaas-smoke-profiles >/dev/null
+	ls /tmp/mlaas-smoke-profiles
+	d=/tmp/mlaas-smoke-profiles; first=$$(ls $$d | head -n 1); latest=$$(ls $$d | tail -n 1); \
+	test "$$first" != "$$latest" && \
+	$(GO) tool pprof -top -nodecount 10 $$d/$$latest/cpu.pprof && \
+	$(GO) tool pprof -top -nodecount 5 -diff_base $$d/$$first/cpu.pprof $$d/$$latest/cpu.pprof
 	$(GO) test -race -count=1 -run 'TestBurnWindow|TestWatchdog|TestSLOBreach' ./internal/profiling
 
 # Cluster-serving smoke: binary-codec predicts through the router must

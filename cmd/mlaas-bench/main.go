@@ -89,7 +89,7 @@ func main() {
 			"across the fleet by consistent hash instead of measuring in-process. Results are "+
 			"byte-identical to a local sweep at any replica count (modulo wall-clock micros).")
 	profileDir := flag.String("profile-dir", "",
-		"capture continuous-profiler bundles into this directory: periodic captures during the sweep plus one tagged end-of-run bundle (inspect with mlaas-profile)")
+		"capture continuous-profiler bundles into this directory: periodic captures during the sweep plus one tagged end-of-run bundle (read with go tool pprof -top <dir>/<bundle>/cpu.pprof)")
 	profileInterval := flag.Duration("profile-interval", 30*time.Second, "period between periodic captures while the run is in flight")
 	flag.Parse()
 
@@ -312,7 +312,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mlaas-bench: end-of-run profile capture: %v\n", err)
 		}
 		prof.Stop()
-		fmt.Fprintf(os.Stderr, "profile bundles in %s (inspect with mlaas-profile -dir %s list)\n", *profileDir, *profileDir)
+		fmt.Fprintf(os.Stderr, "profile bundles in %s (read with: go tool pprof -top %s/<bundle>/cpu.pprof)\n", *profileDir, *profileDir)
 	}
 }
 

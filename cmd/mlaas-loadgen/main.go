@@ -36,8 +36,8 @@
 //
 // -perf-dir additionally appends the run to the committed perf history in
 // the same record schema mlaas-perf writes, so loadgen throughput and
-// latency trend in `mlaas-perf report -kind loadgen` alongside converted
-// legacy results.
+// latency trend in `mlaas-perf report -kind loadgen` alongside the
+// committed history.
 //
 // -batch sets the exact instance count per predict request (test rows are
 // tiled when the request is larger than the test set), exercising the
@@ -150,7 +150,7 @@ func main() {
 		perfDir    = flag.String("perf-dir", "", "also append this run as a perf history record (same schema as mlaas-perf run) into this directory, e.g. perf/results")
 		perfLabel  = flag.String("perf-label", "loadgen", "label stamped on the perf history record")
 		traceOut   = flag.String("trace-out", "", "export every pass's retained traces as JSONL here (analyse with mlaas-trace)")
-		profDir    = flag.String("profile-dir", "", "capture one profile bundle per pass into this directory, concurrent with the pass so the CPU window samples it under load (inspect with mlaas-profile)")
+		profDir    = flag.String("profile-dir", "", "capture one profile bundle per pass into this directory, concurrent with the pass so the CPU window samples it under load (diff two with go tool pprof -top -diff_base <dir>/<first>/cpu.pprof <dir>/<latest>/cpu.pprof)")
 		telSummary = flag.Bool("telemetry", false, "print each pass's telemetry summary to stderr")
 	)
 	flag.Parse()
@@ -331,8 +331,9 @@ func main() {
 // profiledPass runs fn, capturing one profile bundle concurrently when
 // dir is set — the CPU window then samples the pass while it is actually
 // under load, and the sidecar links the pass registry's slowest retained
-// traces. Tags become part of the bundle id, so `mlaas-profile diff
-// pass-refit pass-forward` compares the two arms directly.
+// traces. Tags become part of the bundle id, so `go tool pprof -top
+// -diff_base <...>-pass-refit/cpu.pprof <...>-pass-forward/cpu.pprof`
+// compares the two arms directly.
 func profiledPass(dir, tag string, reg *telemetry.Registry, window time.Duration, fn func() error) error {
 	if dir == "" {
 		return fn()
@@ -368,8 +369,8 @@ func captureWindow(d time.Duration) time.Duration {
 }
 
 // perfRecord reshapes the report into the append-only perf/results schema.
-// perf.LoadgenResults is shared with the legacy-BENCH converter, so live
-// runs extend the same (name, unit) series the converted history started.
+// perf.LoadgenResults names the series, so live runs extend the same
+// (name, unit) series the committed pr3 record started.
 func perfRecord(rep Report, label string) *perf.Record {
 	rec := &perf.Record{
 		Schema: perf.SchemaVersion,

@@ -27,8 +27,8 @@ func writeRec(t *testing.T, dir, label string, at time.Time, mean float64) {
 
 // TestCompareSelfTest is the acceptance self-test: against the same
 // history, a doctored (synthetically regressed) latest entry must exit
-// non-zero while an unchanged run passes, and -report-only must swallow
-// the failure for CI smoke.
+// non-zero while an unchanged run passes, a 2x win passes reported as an
+// improvement, and -report-only must swallow the failure for CI smoke.
 func TestCompareSelfTest(t *testing.T) {
 	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 
@@ -88,6 +88,19 @@ func TestCompareSelfTest(t *testing.T) {
 		}
 	})
 
+	t.Run("improvement passes and is reported", func(t *testing.T) {
+		dir := t.TempDir()
+		writeRec(t, dir, "old", base, 1000)
+		writeRec(t, dir, "faster", base.Add(time.Hour), 500) // 2x win
+		var out, errb strings.Builder
+		if code := run([]string{"compare", "-dir", dir}, &out, &errb); code != exitOK {
+			t.Fatalf("exit %d, want 0\n%s%s", code, out.String(), errb.String())
+		}
+		if !strings.Contains(out.String(), "improved") {
+			t.Errorf("2x win not reported as improvement:\n%s", out.String())
+		}
+	})
+
 	t.Run("too little history errors", func(t *testing.T) {
 		dir := t.TempDir()
 		writeRec(t, dir, "only", base, 1000)
@@ -122,41 +135,6 @@ func TestReportRendersCommittedHistoryShape(t *testing.T) {
 	}
 	if len(trs[0].Points) != 2 {
 		t.Errorf("trajectory points %d, want 2", len(trs[0].Points))
-	}
-}
-
-// convert -> report end to end over a legacy fixture.
-func TestConvertThenReport(t *testing.T) {
-	tmp := t.TempDir()
-	legacy := filepath.Join(tmp, "BENCH_PRX.json")
-	if err := os.WriteFile(legacy, []byte(`{
-	  "host": {"cpu": "Xeon", "cpus_visible": 1},
-	  "runs_seconds_per_op": {"seed_engine": [32.5], "pr2_workers1": [16.7], "pr2_workers4": [16.3]}
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(tmp, "results")
-	var out, errb strings.Builder
-	code := run([]string{"convert", "-in", legacy, "-dir", dir,
-		"-times", "seed=2026-08-05T11:06:11Z,pr2=2026-08-05T12:29:37Z"}, &out, &errb)
-	if code != exitOK {
-		t.Fatalf("convert exit %d: %s", code, errb.String())
-	}
-	out.Reset()
-	if code := run([]string{"report", "-dir", dir}, &out, &errb); code != exitOK {
-		t.Fatalf("report exit %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "BenchmarkSweepSerial") {
-		t.Errorf("converted history not in report:\n%s", out.String())
-	}
-	// The conversion preserved the 2x win as an improvement, not a
-	// regression: compare latest (pr2) vs previous (seed) must pass.
-	out.Reset()
-	if code := run([]string{"compare", "-dir", dir}, &out, &errb); code != exitOK {
-		t.Fatalf("compare exit %d:\n%s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "improved") {
-		t.Errorf("2x win not reported as improvement:\n%s", out.String())
 	}
 }
 

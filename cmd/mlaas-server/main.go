@@ -19,8 +19,8 @@
 // of the window. The -slo-* flags add a watchdog that computes rolling
 // burn rates over the predict route's latency/error metrics (and the
 // admission queue depth) and triggers an immediate tagged capture on
-// breach. Inspect bundles with mlaas-profile, or fetch them remotely from
-// /debug/profiles.
+// breach. Bundles are standard pprof files: read them with go tool pprof,
+// locally or after fetching them from /debug/profiles.
 //
 // -store-dir attaches a durable artifact store (MLMF files) beneath the
 // model cache: every fitted model is persisted, evicted models demote to
@@ -121,7 +121,7 @@ func main() {
 	serveBudget := flag.Float64("serve-budget", 0,
 		"cap the predict route at this many requests per second, modelling a fixed-size serving node for cluster scaling runs (0 = uncapped)")
 	profileDir := flag.String("profile-dir", "",
-		"directory for continuous-profiler bundles (CPU/heap/mutex/block/goroutine + sidecar); served at /debug/profiles, inspected with mlaas-profile (empty disables)")
+		"directory for continuous-profiler bundles (CPU/heap/mutex/block/goroutine + sidecar); served at /debug/profiles; read with go tool pprof -top <bundle>/cpu.pprof, or remotely after curl <addr>/debug/profiles/<bundle>/cpu -o cpu.pprof (empty disables)")
 	profileInterval := flag.Duration("profile-interval", time.Minute,
 		"period between periodic profile captures; 0 captures only on SLO breaches")
 	profileCPU := flag.Duration("profile-cpu", time.Second,
@@ -224,7 +224,7 @@ func main() {
 		}
 		prof.Start()
 		defer prof.Stop()
-		log.Printf("mlaas-server profiling into %s every %s (bundles at /debug/profiles)", *profileDir, *profileInterval)
+		log.Printf("mlaas-server profiling into %s every %s (bundles at /debug/profiles; read with go tool pprof)", *profileDir, *profileInterval)
 	}
 	srv := &http.Server{
 		Addr:              *addr,

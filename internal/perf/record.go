@@ -273,3 +273,23 @@ func ReadRecord(path string) (*Record, error) {
 	}
 	return &rec, nil
 }
+
+// LoadgenResults builds the standard series set for one loadgen pass —
+// the (name, unit) identities cmd/mlaas-loadgen's -perf-out records and
+// the committed pr3 loadgen record share, so the trajectory is continuous
+// across them.
+func LoadgenResults(name string, reqPerSec, instPerSec, meanMs, p50Ms, p95Ms, p99Ms float64) []Result {
+	mk := func(unit string, v float64) Result {
+		r := Result{Name: name, Unit: unit, Runs: []float64{v}, HigherIsBetter: HigherBetterUnit(unit)}
+		r.Finalize()
+		return r
+	}
+	return []Result{
+		mk("req/s", reqPerSec),
+		mk("instances/s", instPerSec),
+		mk("mean_ms", meanMs),
+		mk("p50_ms", p50Ms),
+		mk("p95_ms", p95Ms),
+		mk("p99_ms", p99Ms),
+	}
+}

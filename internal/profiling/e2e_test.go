@@ -10,6 +10,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -142,19 +143,25 @@ func TestSLOBreachCapturesBundleWithTraces(t *testing.T) {
 			t.Errorf("sidecar trace %s not in the registry's trace buffer", ref.TraceID)
 		}
 	}
-	// The non-CPU profiles must parse; CPU too unless the environment
-	// already held the process-wide CPU profile (e.g. go test -cpuprofile).
+	// go tool pprof must read every recorded profile (CPU is left out only
+	// when the environment already held the process-wide CPU profile, e.g.
+	// go test -cpuprofile).
 	for kind := range bundle.Profiles {
-		if _, err := p.Store().Profile(bundle.ID, kind); err != nil {
-			t.Errorf("parse %s: %v", kind, err)
+		path, err := p.Store().ProfilePath(bundle.ID, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := profiling.GoToolPprof(t, "-raw", path); err != nil {
+			t.Errorf("go tool pprof -raw %s: %v\n%s", kind, err, out)
 		}
 	}
 }
 
-// TestHotSymbolSurfacesInDiff is the ISSUE's second e2e gate: an idle CPU
+// TestHotSymbolSurfacesInDiff pins the hotspot-diff workflow: an idle CPU
 // capture diffed against one taken while the linalg GEMM kernel is being
-// hammered must put the kernel in the top-10 flat deltas — the workflow a
-// human runs as `mlaas-profile diff idle loaded`.
+// hammered must put the kernel in the top-10 flat deltas — what a
+// human runs as `go tool pprof -top -diff_base idle/cpu.pprof
+// loaded/cpu.pprof`.
 func TestHotSymbolSurfacesInDiff(t *testing.T) {
 	p, err := profiling.New(profiling.Config{
 		Dir:         t.TempDir(),
@@ -202,33 +209,29 @@ func TestHotSymbolSurfacesInDiff(t *testing.T) {
 		t.Skip("CPU profiling unavailable (another profile active in this process)")
 	}
 
-	pa, err := p.Store().Profile(idle.ID, "cpu")
+	base, err := p.Store().ProfilePath(idle.ID, "cpu")
 	if err != nil {
 		t.Fatalf("idle cpu profile: %v", err)
 	}
-	pb, err := p.Store().Profile(loaded.ID, "cpu")
+	hot, err := p.Store().ProfilePath(loaded.ID, "cpu")
 	if err != nil {
 		t.Fatalf("loaded cpu profile: %v", err)
 	}
-	deltas, err := profiling.Diff(pa, pb, "cpu")
+	out, err := profiling.GoToolPprof(t, "-top", "-nodecount", "10", "-diff_base", base, hot)
 	if err != nil {
-		t.Fatalf("diff: %v", err)
+		t.Fatalf("go tool pprof -diff_base: %v\n%s", err, out)
 	}
-	top := deltas
-	if len(top) > 10 {
-		top = top[:10]
-	}
-	for _, d := range top {
-		if strings.Contains(d.Symbol, "linalg.MulInto") {
-			if d.FlatDiff <= 0 {
-				t.Errorf("GEMM kernel delta not positive: %+v", d)
-			}
-			return
+	// -top rows are "flat flat% sum% cum cum% symbol", flat first.
+	for _, line := range strings.Split(out, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 6 || !strings.Contains(fields[5], "linalg.MulInto") {
+			continue
 		}
+		flat, err := strconv.ParseFloat(strings.TrimRight(fields[0], "abcdefghijklmnopqrstuvwxyzµ"), 64)
+		if err != nil || flat <= 0 {
+			t.Errorf("GEMM kernel flat delta not positive: %q", line)
+		}
+		return
 	}
-	names := make([]string, len(top))
-	for i, d := range top {
-		names[i] = d.Symbol
-	}
-	t.Fatalf("GEMM kernel not in top-10 flat deltas: %v", names)
+	t.Fatalf("GEMM kernel not in the top-10 flat deltas:\n%s", out)
 }

@@ -15,7 +15,6 @@
 package profiling
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -62,25 +61,22 @@ type Config struct {
 	// nil reads Registry.Traces().Summaries(). Loadgen points it at the
 	// current pass's registry.
 	TraceSource func() []telemetry.TraceSummary
-	// SLOSource, when set, stamps the watchdog's current SLO state into
-	// every sidecar (the watchdog wires itself in via Watch).
-	SLOSource func() []SLOStatus
-	// MaxTraceRefs bounds how many slowest-trace ids a sidecar carries
-	// (default 8).
-	MaxTraceRefs int
-	// MutexFraction and BlockRateNs configure the runtime's mutex and
-	// block profilers for the profiler's lifetime (restored on Stop).
-	// Zero picks the defaults — fraction 1000 (one contention event in a
-	// thousand) and a 10ms block rate. These defaults are deliberately
-	// coarse: the interleaved ServePredict A/B (bench_test.go) measured
-	// the conventional fraction-100/1ms settings at ~15% predict
-	// throughput cost on a contended serving path, far past the ~3%
-	// always-on budget, while these sit inside run-to-run noise and still
-	// surface the heavy hitters a hotspot diff needs. Negative leaves the
-	// runtime settings untouched.
-	MutexFraction int
-	BlockRateNs   int
 }
+
+const (
+	// mutexFraction and blockRateNs configure the runtime's mutex and
+	// block profilers from Start until Stop: one contention event in a
+	// thousand, and a 10ms block rate. These are deliberately coarse: the
+	// interleaved ServePredict A/B (bench_test.go) measured the
+	// conventional fraction-100/1ms settings at ~15% predict throughput
+	// cost on a contended serving path, far past the ~3% always-on
+	// budget, while these sit inside run-to-run noise and still surface
+	// the heavy hitters a hotspot diff needs.
+	mutexFraction = 1000
+	blockRateNs   = int(10 * time.Millisecond)
+	// maxTraceRefs bounds how many slowest-trace ids a sidecar carries.
+	maxTraceRefs = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.CPUDuration <= 0 {
@@ -96,15 +92,6 @@ func (c Config) withDefaults() Config {
 		reg := c.Registry
 		c.TraceSource = func() []telemetry.TraceSummary { return reg.Traces().Summaries() }
 	}
-	if c.MaxTraceRefs <= 0 {
-		c.MaxTraceRefs = 8
-	}
-	if c.MutexFraction == 0 {
-		c.MutexFraction = 1000
-	}
-	if c.BlockRateNs == 0 {
-		c.BlockRateNs = int(10 * time.Millisecond)
-	}
 	return c
 }
 
@@ -119,12 +106,10 @@ type Profiler struct {
 	sloMu     sync.Mutex
 	sloSource func() []SLOStatus
 
-	mu          sync.Mutex
-	done        chan struct{}
-	wg          sync.WaitGroup
-	prevMutex   int
-	prevBlock   int
-	rateRestore bool
+	mu        sync.Mutex
+	done      chan struct{}
+	wg        sync.WaitGroup
+	prevMutex int
 }
 
 // New opens the bundle ring under cfg.Dir and returns a profiler. Nothing
@@ -138,7 +123,7 @@ func New(cfg Config) (*Profiler, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Profiler{cfg: cfg, store: st, sloSource: cfg.SLOSource}
+	p := &Profiler{cfg: cfg, store: st}
 	st.onDrop = p.drop
 	return p, nil
 }
@@ -165,14 +150,8 @@ func (p *Profiler) Start() {
 	if p.done != nil {
 		return
 	}
-	if p.cfg.MutexFraction >= 0 {
-		p.prevMutex = runtime.SetMutexProfileFraction(p.cfg.MutexFraction)
-		p.rateRestore = true
-	}
-	if p.cfg.BlockRateNs >= 0 {
-		runtime.SetBlockProfileRate(p.cfg.BlockRateNs)
-		p.prevBlock = 0 // the runtime offers no getter; restore to off
-	}
+	p.prevMutex = runtime.SetMutexProfileFraction(mutexFraction)
+	runtime.SetBlockProfileRate(blockRateNs)
 	p.done = make(chan struct{})
 	if p.cfg.Interval <= 0 {
 		return
@@ -204,11 +183,8 @@ func (p *Profiler) Stop() {
 	}
 	close(p.done)
 	p.done = nil
-	if p.rateRestore {
-		runtime.SetMutexProfileFraction(p.prevMutex)
-		runtime.SetBlockProfileRate(p.prevBlock)
-		p.rateRestore = false
-	}
+	runtime.SetMutexProfileFraction(p.prevMutex)
+	runtime.SetBlockProfileRate(0) // the runtime offers no getter; restore to off
 	p.mu.Unlock()
 	p.wg.Wait()
 }
@@ -227,20 +203,16 @@ func (p *Profiler) CaptureNow(tag, reason string, attrs map[string]string) (Meta
 	}
 	defer p.capturing.Store(false)
 
-	start := time.Now()
-	id := p.store.newID(start, tag)
-	tmp := filepath.Join(p.store.dir, ".tmp-"+id)
-	if err := os.MkdirAll(tmp, 0o755); err != nil {
-		p.drop("error")
-		return Meta{}, err
-	}
-	meta, err := p.captureInto(tmp, id, tag, reason, attrs, start)
+	tmp, err := p.store.stage()
 	if err != nil {
-		_ = os.RemoveAll(tmp)
 		p.drop("error")
 		return Meta{}, err
 	}
-	if err := p.store.add(tmp, id); err != nil {
+	meta, err := p.captureInto(tmp, tag, reason, attrs, time.Now())
+	if err == nil {
+		err = p.store.add(tmp, &meta)
+	}
+	if err != nil {
 		_ = os.RemoveAll(tmp)
 		p.drop("error")
 		return Meta{}, err
@@ -249,8 +221,9 @@ func (p *Profiler) CaptureNow(tag, reason string, attrs map[string]string) (Meta
 	return meta, nil
 }
 
-// captureInto writes every profile plus the sidecar into dir.
-func (p *Profiler) captureInto(dir, id, tag, reason string, attrs map[string]string, start time.Time) (Meta, error) {
+// captureInto writes every profile into dir and returns the bundle's
+// sidecar; the store stamps its id and writes it when it claims one.
+func (p *Profiler) captureInto(dir, tag, reason string, attrs map[string]string, start time.Time) (Meta, error) {
 	profiles := map[string]string{}
 
 	// CPU first: it is the only profile with a sampling window, and the
@@ -293,7 +266,7 @@ func (p *Profiler) captureInto(dir, id, tag, reason string, attrs map[string]str
 		if err != nil {
 			return Meta{}, err
 		}
-		// debug=0 writes the gzipped proto form the parser reads.
+		// debug=0 writes the gzipped proto form go tool pprof reads.
 		if err := prof.WriteTo(pf, 0); err != nil {
 			_ = pf.Close()
 			return Meta{}, err
@@ -306,7 +279,6 @@ func (p *Profiler) captureInto(dir, id, tag, reason string, attrs map[string]str
 
 	meta := Meta{
 		Schema:     MetaSchemaVersion,
-		ID:         id,
 		Tag:        tag,
 		Reason:     reason,
 		Start:      start.UTC(),
@@ -329,13 +301,6 @@ func (p *Profiler) captureInto(dir, id, tag, reason string, attrs map[string]str
 	if sloSource != nil {
 		meta.SLO = sloSource()
 	}
-	blob, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return Meta{}, err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), blob, 0o644); err != nil {
-		return Meta{}, err
-	}
 	return meta, nil
 }
 
@@ -345,8 +310,8 @@ func (p *Profiler) slowTraces() []TraceRef {
 	sort.SliceStable(sums, func(i, j int) bool {
 		return sums[i].DurationSeconds > sums[j].DurationSeconds
 	})
-	if len(sums) > p.cfg.MaxTraceRefs {
-		sums = sums[:p.cfg.MaxTraceRefs]
+	if len(sums) > maxTraceRefs {
+		sums = sums[:maxTraceRefs]
 	}
 	refs := make([]TraceRef, 0, len(sums))
 	for _, s := range sums {

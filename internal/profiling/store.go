@@ -10,7 +10,9 @@ package profiling
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -141,13 +143,46 @@ func sanitizeTag(tag string) string {
 	return out
 }
 
-// add moves a fully written bundle directory into place and prunes the
-// ring. tmpDir must be on the same filesystem (the store's own dir).
-func (s *Store) add(tmpDir, id string) error {
-	if err := os.Rename(tmpDir, filepath.Join(s.dir, id)); err != nil {
-		return err
+// stage makes the directory one capture writes its profiles into before
+// add moves it into place. Each capture gets its own, so profilers that
+// share a ring directory never write into each other's bundle.
+func (s *Store) stage() (string, error) {
+	tmp, err := os.MkdirTemp(s.dir, ".tmp-")
+	if err != nil {
+		return "", err
 	}
-	return s.prune()
+	// MkdirTemp makes 0700; bundles are 0755 so another user (an operator
+	// running go tool pprof) can read them.
+	if err := os.Chmod(tmp, 0o755); err != nil {
+		_ = os.RemoveAll(tmp)
+		return "", err
+	}
+	return tmp, nil
+}
+
+// add gives the bundle staged in tmpDir an id, writes meta as its
+// sidecar, moves it into place and prunes the ring. Profilers sharing a
+// directory each count seq from 1, so another one's capture in the same
+// second under the same tag can already hold the id; the bundle then
+// takes the next free seq.
+func (s *Store) add(tmpDir string, meta *Meta) error {
+	for {
+		meta.ID = s.newID(meta.Start, meta.Tag)
+		blob, err := json.MarshalIndent(meta, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(tmpDir, "meta.json"), blob, 0o644); err != nil {
+			return err
+		}
+		err = os.Rename(tmpDir, filepath.Join(s.dir, meta.ID))
+		if err == nil {
+			return s.prune()
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			return err
+		}
+	}
 }
 
 // prune deletes the oldest bundles until at most max remain.
@@ -248,19 +283,6 @@ func (s *Store) ProfilePath(id, kind string) (string, error) {
 		return "", fmt.Errorf("bundle %s: suspicious profile filename %q", id, name)
 	}
 	return filepath.Join(s.dir, id, name), nil
-}
-
-// Profile loads and parses one profile from a bundle.
-func (s *Store) Profile(id, kind string) (*Profile, error) {
-	path, err := s.ProfilePath(id, kind)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseProfile(blob)
 }
 
 // validBundleID rejects ids that could escape the store directory.

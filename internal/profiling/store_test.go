@@ -1,6 +1,13 @@
 package profiling
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -11,13 +18,11 @@ import (
 func TestStoreRingPrunesOldest(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p, err := New(Config{
-		Dir:           t.TempDir(),
-		MaxBundles:    3,
-		CPUDuration:   10 * time.Millisecond,
-		Registry:      reg,
-		TraceSource:   func() []telemetry.TraceSummary { return nil },
-		MutexFraction: -1,
-		BlockRateNs:   -1,
+		Dir:         t.TempDir(),
+		MaxBundles:  3,
+		CPUDuration: 10 * time.Millisecond,
+		Registry:    reg,
+		TraceSource: func() []telemetry.TraceSummary { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +54,110 @@ func TestStoreRingPrunesOldest(t *testing.T) {
 	}
 }
 
+// GoToolPprof runs `go tool pprof args...` — the reader bundles are made
+// for — under a 30 s deadline and returns its combined output. It skips
+// the test when go is not on PATH. Exported for the external e2e tests.
+func GoToolPprof(t testing.TB, args ...string) (string, error) {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go not on PATH: cannot run go tool pprof")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, goBin, append([]string{"tool", "pprof"}, args...)...).CombinedOutput()
+	return string(out), err
+}
+
+// A complete profile written by runtime/pprof reads back; a truncated copy
+// of it and garbage bytes must not, so an exit 0 from go tool pprof -raw
+// really means the bundle file is whole.
+func TestPprofRejectsMalformedProfile(t *testing.T) {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	files := map[string][]byte{
+		"whole":     buf.Bytes(),
+		"truncated": buf.Bytes()[:buf.Len()/2],
+		"garbage":   []byte("this is not a profile\x00\x01\x02"),
+	}
+	for name, blob := range files {
+		path := filepath.Join(dir, name+".pprof")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := GoToolPprof(t, "-raw", path)
+		if name == "whole" {
+			if err != nil || !strings.Contains(out, "TestPprofRejectsMalformedProfile") {
+				t.Errorf("whole goroutine profile: err %v, or this test's goroutine missing:\n%s", err, out)
+			}
+		} else if err == nil {
+			t.Errorf("%s profile read without error:\n%s", name, out)
+		}
+	}
+}
+
+// Two profilers sharing a directory each count bundle seqs from 1, so
+// overlapping captures under one tag in the same second ask both stores
+// for the same id. Both bundles must land, each under its own id, and
+// each with its own files.
+func TestStoresSharingADirDoNotCollide(t *testing.T) {
+	dir := t.TempDir()
+	at := time.Date(2026, 10, 17, 3, 4, 5, 0, time.UTC)
+	var stores []*Store
+	var tmps []string
+	for i := 0; i < 2; i++ {
+		st, err := OpenStore(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Stage both before either lands, as overlapping captures do.
+		tmp, err := st.stage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(tmp, "heap.pprof"), []byte{byte('a' + i)}, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stores, tmps = append(stores, st), append(tmps, tmp)
+	}
+	for i, st := range stores {
+		meta := Meta{Schema: MetaSchemaVersion, Tag: "pass", Start: at, Profiles: map[string]string{"heap": "heap.pprof"}}
+		if err := st.add(tmps[i], &meta); err != nil {
+			t.Fatalf("store %d: %v", i, err)
+		}
+	}
+	metas, err := stores[0].List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"20261017T030405-0001-pass", "20261017T030405-0002-pass"}
+	if len(metas) != len(want) {
+		t.Fatalf("ring holds %d bundles, want %d: %+v", len(metas), len(want), metas)
+	}
+	for i, m := range metas {
+		if m.ID != want[i] {
+			t.Errorf("bundle %d id %q, want %q", i, m.ID, want[i])
+		}
+		path, err := stores[0].ProfilePath(m.ID, "heap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob, err := os.ReadFile(path); err != nil || string(blob) != string(rune('a'+i)) {
+			t.Errorf("bundle %s holds %q (%v), want the file store %d staged", m.ID, blob, err, i)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Errorf("staging dirs left behind: %d entries in the ring dir", len(entries))
+	}
+}
+
 func TestStoreRejectsTraversal(t *testing.T) {
 	st, err := OpenStore(t.TempDir(), 4)
 	if err != nil {
@@ -66,19 +175,22 @@ func TestStoreRejectsTraversal(t *testing.T) {
 
 func TestCaptureSidecarContents(t *testing.T) {
 	reg := telemetry.NewRegistry()
+	// More traces than a sidecar keeps: the fastest must fall off.
 	traces := []telemetry.TraceSummary{
 		{TraceID: "t-slow", Name: "predict", DurationSeconds: 1.5},
-		{TraceID: "t-fast", Name: "predict", DurationSeconds: 0.1},
+		{TraceID: "t-fast", Name: "predict", DurationSeconds: 0.01},
 		{TraceID: "t-mid", Name: "predict", DurationSeconds: 0.7, Error: "boom"},
 	}
+	for i := 0; i < maxTraceRefs; i++ {
+		traces = append(traces, telemetry.TraceSummary{
+			TraceID: fmt.Sprintf("t-%d", i), Name: "predict", DurationSeconds: 0.1 + float64(i)/100,
+		})
+	}
 	p, err := New(Config{
-		Dir:           t.TempDir(),
-		CPUDuration:   10 * time.Millisecond,
-		Registry:      reg,
-		TraceSource:   func() []telemetry.TraceSummary { return append([]telemetry.TraceSummary(nil), traces...) },
-		MaxTraceRefs:  2,
-		MutexFraction: -1,
-		BlockRateNs:   -1,
+		Dir:         t.TempDir(),
+		CPUDuration: 10 * time.Millisecond,
+		Registry:    reg,
+		TraceSource: func() []telemetry.TraceSummary { return append([]telemetry.TraceSummary(nil), traces...) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +215,14 @@ func TestCaptureSidecarContents(t *testing.T) {
 	if meta.Health.Goroutines == 0 || meta.Health.GOMAXPROCS == 0 {
 		t.Fatalf("health snapshot missing: %+v", meta.Health)
 	}
-	// Slowest two traces, slowest first.
-	if len(meta.SlowTraces) != 2 || meta.SlowTraces[0].TraceID != "t-slow" || meta.SlowTraces[1].TraceID != "t-mid" {
+	// The slowest maxTraceRefs traces, slowest first.
+	if len(meta.SlowTraces) != maxTraceRefs || meta.SlowTraces[0].TraceID != "t-slow" || meta.SlowTraces[1].TraceID != "t-mid" {
 		t.Fatalf("slow traces wrong: %+v", meta.SlowTraces)
+	}
+	for i, ref := range meta.SlowTraces {
+		if ref.TraceID == "t-fast" || (i > 0 && ref.DurationSeconds > meta.SlowTraces[i-1].DurationSeconds) {
+			t.Fatalf("slow traces not the slowest, in order: %+v", meta.SlowTraces)
+		}
 	}
 	if meta.SlowTraces[1].Error != "boom" {
 		t.Fatalf("trace error lost: %+v", meta.SlowTraces[1])
@@ -117,7 +234,8 @@ func TestCaptureSidecarContents(t *testing.T) {
 		t.Fatalf("attrs lost: %+v", meta.Attrs)
 	}
 
-	// Round-trip through the store and parse every recorded profile.
+	// Round-trip through the store; go tool pprof must read every
+	// recorded profile.
 	got, err := p.Store().Get(meta.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -126,12 +244,12 @@ func TestCaptureSidecarContents(t *testing.T) {
 		t.Fatal("no profiles recorded")
 	}
 	for kind := range got.Profiles {
-		prof, err := p.Store().Profile(meta.ID, kind)
+		path, err := p.Store().ProfilePath(meta.ID, kind)
 		if err != nil {
-			t.Fatalf("parse %s: %v", kind, err)
+			t.Fatal(err)
 		}
-		if len(prof.SampleTypes) == 0 {
-			t.Fatalf("%s profile has no sample types", kind)
+		if out, err := GoToolPprof(t, "-raw", path); err != nil {
+			t.Fatalf("go tool pprof -raw %s: %v\n%s", kind, err, out)
 		}
 	}
 	// Heap/goroutine must always be present; cpu may be skipped only when
@@ -146,12 +264,10 @@ func TestCaptureSidecarContents(t *testing.T) {
 func TestCaptureBusyDrop(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p, err := New(Config{
-		Dir:           t.TempDir(),
-		CPUDuration:   200 * time.Millisecond,
-		Registry:      reg,
-		TraceSource:   func() []telemetry.TraceSummary { return nil },
-		MutexFraction: -1,
-		BlockRateNs:   -1,
+		Dir:         t.TempDir(),
+		CPUDuration: 200 * time.Millisecond,
+		Registry:    reg,
+		TraceSource: func() []telemetry.TraceSummary { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // The /debug/profiles surface: list the continuous profiler's on-disk
 // bundles, fetch one bundle's sidecar, and download individual .pprof
-// files — enough for mlaas-profile (or go tool pprof) to work against a
-// remote server without shell access to its profile directory.
+// files — enough for go tool pprof to work against a remote server
+// without shell access to its profile directory.
 package service
 
 import (
