@@ -69,18 +69,37 @@ func GoToolPprof(t testing.TB, args ...string) (string, error) {
 	return string(out), err
 }
 
-// A complete profile written by runtime/pprof reads back; a truncated copy
-// of it and garbage bytes must not, so an exit 0 from go tool pprof -raw
-// really means the bundle file is whole.
-func TestPprofRejectsMalformedProfile(t *testing.T) {
+// goroutineProfile writes this process's goroutine profile, as
+// runtime/pprof encodes it, and returns its bytes.
+func goroutineProfile(t *testing.T) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := pprof.Lookup("goroutine").WriteTo(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// A complete profile written by runtime/pprof reads back with go tool
+// pprof -raw, down to this test's own goroutine.
+func TestParseRealGoroutineProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "goroutine.pprof")
+	if err := os.WriteFile(path, goroutineProfile(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := GoToolPprof(t, "-raw", path)
+	if err != nil || !strings.Contains(out, "TestParseRealGoroutineProfile") {
+		t.Errorf("whole goroutine profile: err %v, or this test's goroutine missing:\n%s", err, out)
+	}
+}
+
+// A truncated profile and garbage bytes must not read, so an exit 0 from
+// go tool pprof -raw really means the bundle file is whole.
+func TestParseProfileMalformed(t *testing.T) {
+	whole := goroutineProfile(t)
 	dir := t.TempDir()
 	files := map[string][]byte{
-		"whole":     buf.Bytes(),
-		"truncated": buf.Bytes()[:buf.Len()/2],
+		"truncated": whole[:len(whole)/2],
 		"garbage":   []byte("this is not a profile\x00\x01\x02"),
 	}
 	for name, blob := range files {
@@ -88,12 +107,7 @@ func TestPprofRejectsMalformedProfile(t *testing.T) {
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out, err := GoToolPprof(t, "-raw", path)
-		if name == "whole" {
-			if err != nil || !strings.Contains(out, "TestPprofRejectsMalformedProfile") {
-				t.Errorf("whole goroutine profile: err %v, or this test's goroutine missing:\n%s", err, out)
-			}
-		} else if err == nil {
+		if out, err := GoToolPprof(t, "-raw", path); err == nil {
 			t.Errorf("%s profile read without error:\n%s", name, out)
 		}
 	}
