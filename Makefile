@@ -48,7 +48,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run 'TestParallel|TestSweepCancellation' ./internal/core
-	$(GO) test -race -run 'TestPredict|TestKNN|TestSquaredEuclidean' ./internal/classifiers ./internal/linalg
+	$(GO) test -race -run 'TestPredict|TestKNN|TestSquaredEuclidean|TestPresort' ./internal/classifiers ./internal/linalg
 
 check: fmt vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke bench-e2e-smoke no-strays
 

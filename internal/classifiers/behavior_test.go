@@ -563,7 +563,7 @@ func TestTreeEngineRandomSplitsFindSignal(t *testing.T) {
 func TestGrowTreePureLeaf(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}}
 	target := []float64{1, 1, 1}
-	node := growTree(x, target, []int{0, 1, 2}, treeConfig{criterion: "gini", minLeaf: 1}, rng.New(1), 0)
+	node := growTreePresorted(presortFeatures(x), &treeMem{}, x, target, []int{0, 1, 2}, treeConfig{criterion: "gini", minLeaf: 1}, rng.New(1), 0)
 	if node.feature != -1 {
 		t.Fatal("pure node must be a leaf")
 	}

@@ -40,6 +40,10 @@ func (*BoostedTrees) Name() string { return "boosted" }
 
 // Fit implements Classifier.
 func (b *BoostedTrees) Fit(x [][]float64, y []int, r *rng.RNG) error {
+	return b.fitPresorted(x, y, r, nil)
+}
+
+func (b *BoostedTrees) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Presort) error {
 	n, _, err := validateFit(x, y)
 	if err != nil {
 		return err
@@ -81,7 +85,7 @@ func (b *BoostedTrees) Fit(x [][]float64, y []int, r *rng.RNG) error {
 	}
 	residual := make([]float64, n)
 	idx := allIndices(n)
-	pre := presortFeatures(x) // shared across rounds; residuals change, x doesn't
+	pre := p.of(x) // shared across rounds; residuals change, x doesn't
 	mem := &treeMem{}
 	b.trees = make([]*treeNode, 0, rounds)
 	for round := 0; round < rounds; round++ {

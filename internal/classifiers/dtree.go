@@ -29,6 +29,10 @@ func (*DecisionTree) Name() string { return "dtree" }
 
 // Fit implements Classifier.
 func (t *DecisionTree) Fit(x [][]float64, y []int, r *rng.RNG) error {
+	return t.fitPresorted(x, y, r, nil)
+}
+
+func (t *DecisionTree) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Presort) error {
 	if _, _, err := validateFit(x, y); err != nil {
 		return err
 	}
@@ -39,7 +43,7 @@ func (t *DecisionTree) Fit(x [][]float64, y []int, r *rng.RNG) error {
 		criterion:     t.params.String("criterion", "gini"),
 		nodeThreshold: t.params.Int("node_threshold", 2),
 	}
-	t.root = growTree(x, labelsToFloats(y), allIndices(len(x)), cfg, r, 0)
+	t.root = growTreePresorted(p.of(x), &treeMem{}, x, labelsToFloats(y), allIndices(len(x)), cfg, r, 0)
 	return nil
 }
 

@@ -42,6 +42,10 @@ func (*Bagging) Name() string { return "bagging" }
 
 // Fit implements Classifier.
 func (b *Bagging) Fit(x [][]float64, y []int, r *rng.RNG) error {
+	return b.fitPresorted(x, y, r, nil)
+}
+
+func (b *Bagging) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Presort) error {
 	if _, _, err := validateFit(x, y); err != nil {
 		return err
 	}
@@ -58,7 +62,7 @@ func (b *Bagging) Fit(x [][]float64, y []int, r *rng.RNG) error {
 		criterion:     "gini",
 		nodeThreshold: b.params.Int("node_threshold", 2),
 	}
-	pre := presortFeatures(x)
+	pre := p.of(x)
 	mem := &treeMem{}
 	b.trees = make([]*treeNode, count)
 	for t := 0; t < count; t++ {
@@ -87,6 +91,10 @@ func (*RandomForest) Name() string { return "randomforest" }
 
 // Fit implements Classifier.
 func (f *RandomForest) Fit(x [][]float64, y []int, r *rng.RNG) error {
+	return f.fitPresorted(x, y, r, nil)
+}
+
+func (f *RandomForest) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Presort) error {
 	if _, _, err := validateFit(x, y); err != nil {
 		return err
 	}
@@ -107,7 +115,7 @@ func (f *RandomForest) Fit(x [][]float64, y []int, r *rng.RNG) error {
 		cfg.minLeaf = 1
 	}
 	replicate := f.params.String("resampling", "bagging") == "replicate"
-	pre := presortFeatures(x)
+	pre := p.of(x)
 	mem := &treeMem{}
 	f.trees = make([]*treeNode, count)
 	for t := 0; t < count; t++ {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"mlaasbench/internal/rng"
 )
@@ -47,26 +48,27 @@ func (c treeConfig) featureCount(d int) int {
 }
 
 // featurePresort holds, for every feature, all row indices of a training
-// matrix sorted by that feature's value (ties by row index). It is computed
-// once per Fit and shared across an ensemble's trees / a boosting run's
-// rounds — each tree derives its root order from it in O(n) instead of
-// re-sorting, which dominated whole-sweep CPU time.
+// matrix sorted by that feature's value (ties by row index). Each tree
+// derives its root order from it in O(n) instead of re-sorting, which
+// dominated whole-sweep CPU time. The indices are int32: a Presort keeps one
+// alive for as long as its matrix, and half the width is half that memory.
 type featurePresort struct {
-	orders [][]int
+	orders [][]int32
 }
 
-// presortFeatures argsorts every column of x.
+// presortFeatures argsorts every column of x. x must have fewer than 2³¹
+// rows.
 func presortFeatures(x [][]float64) *featurePresort {
 	n, d := len(x), len(x[0])
 	type keyed struct {
 		v float64
-		i int
+		i int32
 	}
 	buf := make([]keyed, n)
-	pre := &featurePresort{orders: make([][]int, d)}
+	pre := &featurePresort{orders: make([][]int32, d)}
 	for j := 0; j < d; j++ {
 		for i := 0; i < n; i++ {
-			buf[i] = keyed{v: x[i][j], i: i}
+			buf[i] = keyed{v: x[i][j], i: int32(i)}
 		}
 		// The (value, index) key is a total order, so the unstable sort
 		// yields a deterministic, stable-equivalent result.
@@ -77,10 +79,10 @@ func presortFeatures(x [][]float64) *featurePresort {
 			case a.v > b.v:
 				return 1
 			default:
-				return a.i - b.i
+				return int(a.i - b.i)
 			}
 		})
-		ord := make([]int, n)
+		ord := make([]int32, n)
 		for k := range buf {
 			ord[k] = buf[k].i
 		}
@@ -89,39 +91,77 @@ func presortFeatures(x [][]float64) *featurePresort {
 	return pre
 }
 
-// growTree builds a CART tree over the sample indices idx. target[i] is the
-// regression target (for classification pass the 0/1 label as float).
-// Ensemble callers should presort once and use growTreePresorted with a
-// shared treeMem.
-func growTree(x [][]float64, target []float64, idx []int, cfg treeConfig, r *rng.RNG, depth int) *treeNode {
-	return growTreePresorted(presortFeatures(x), &treeMem{}, x, target, idx, cfg, r, depth)
+// Presort is the column argsort of one training matrix, built on first use
+// and then shared read-only by every tree fit on that matrix through
+// FitWith. It is bound to the matrix it was made for: handed any other
+// matrix it is ignored and the fit argsorts afresh, so misuse costs speed,
+// never a different model. Safe for concurrent use.
+type Presort struct {
+	x    [][]float64
+	once sync.Once
+	pre  *featurePresort
 }
 
-// treeMem is reusable growth storage. An ensemble Fit allocates one and
+// NewPresort returns a presort of x. Nothing is sorted until a tree learner
+// first fits on x, so a matrix only ever used by other learners never pays
+// for it.
+func NewPresort(x [][]float64) *Presort { return &Presort{x: x} }
+
+// of returns the presort of x: p's own when p was made for x (same first
+// row header, same length), a fresh one otherwise. A nil p always
+// argsorts afresh.
+func (p *Presort) of(x [][]float64) *featurePresort {
+	if p == nil || len(x) == 0 || len(x) != len(p.x) || &x[0] != &p.x[0] {
+		return presortFeatures(x)
+	}
+	p.once.Do(func() { p.pre = presortFeatures(p.x) })
+	return p.pre
+}
+
+// presortFitter is implemented by the learners that grow trees from a
+// column presort: dtree, bagging, randomforest and boosted. Their Fit is
+// fitPresorted with a nil presort.
+type presortFitter interface {
+	fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Presort) error
+}
+
+// FitWith fits clf on (x, y) exactly as clf.Fit does, except that a tree
+// learner reuses p — a presort of x — instead of argsorting every column
+// again. Other learners, a nil p and a p made for another matrix all fit
+// as clf.Fit would. The fitted model is the same either way: the presort
+// consumes no randomness and growth only reads it.
+func FitWith(clf Classifier, x [][]float64, y []int, r *rng.RNG, p *Presort) error {
+	if f, ok := clf.(presortFitter); ok {
+		return f.fitPresorted(x, y, r, p)
+	}
+	return clf.Fit(x, y, r)
+}
+
+// treeMem is reusable growth storage. A tree learner's Fit allocates one and
 // passes it to every growTreePresorted call, so per-tree buffers (the
 // derived orders, membership copies, partition staging) are allocated once
 // per Fit instead of once per tree. The tree returned by a call does not
 // reference the memory, so reuse across trees is safe.
 type treeMem struct {
 	counts    []int
-	ordersBuf []int
-	scratch   []int
-	own       []int
+	ordersBuf []int32
+	scratch   []int32
+	own       []int32
 	side      []byte
 }
 
-func (mem *treeMem) grab(n, d, m int) (counts, ordersBuf, scratch, own []int, side []byte) {
+func (mem *treeMem) grab(n, d, m int) (counts []int, ordersBuf, scratch, own []int32, side []byte) {
 	if cap(mem.counts) < n {
 		mem.counts = make([]int, n)
 	}
 	if cap(mem.ordersBuf) < d*m {
-		mem.ordersBuf = make([]int, d*m)
+		mem.ordersBuf = make([]int32, d*m)
 	}
 	if cap(mem.scratch) < m {
-		mem.scratch = make([]int, m)
+		mem.scratch = make([]int32, m)
 	}
 	if cap(mem.own) < m {
-		mem.own = make([]int, m)
+		mem.own = make([]int32, m)
 	}
 	if cap(mem.side) < n {
 		mem.side = make([]byte, n)
@@ -146,7 +186,7 @@ func growTreePresorted(pre *featurePresort, mem *treeMem, x [][]float64, target 
 		}
 	}
 	identity := m == n && !dup // idx covers every row exactly once
-	orders := make([][]int, d)
+	orders := make([][]int32, d)
 	for j := 0; j < d; j++ {
 		ord := ordersBuf[j*m : (j+1)*m]
 		if identity {
@@ -162,10 +202,10 @@ func growTreePresorted(pre *featurePresort, mem *treeMem, x [][]float64, target 
 		}
 		orders[j] = ord
 	}
-	for _, i := range idx {
+	for k, i := range idx {
 		counts[i] = 0 // leave counts zeroed for the next grab
+		own[k] = int32(i)
 	}
-	copy(own, idx)
 	g := &grower{x: x, target: target, cfg: cfg, r: r, scratch: scratch, side: side}
 	return g.grow(own, orders, depth)
 }
@@ -174,18 +214,20 @@ func growTreePresorted(pre *featurePresort, mem *treeMem, x [][]float64, target 
 // per-feature sorted orders) lives in slices that are stably partitioned in
 // place as the tree splits: children own disjoint subranges of the parent's
 // storage, so growth allocates nothing per node beyond the nodes themselves.
+// Row indices are int32 like the presort's, so deriving a tree's orders is a
+// plain copy and every partition moves half the bytes.
 type grower struct {
 	x       [][]float64
 	target  []float64
 	cfg     treeConfig
 	r       *rng.RNG
-	scratch []int  // right-side staging for the stable in-place partitions
-	side    []byte // per-row split side, computed once per split for all d partitions
+	scratch []int32 // right-side staging for the stable in-place partitions
+	side    []byte  // per-row split side, computed once per split for all d partitions
 }
 
 // grow builds the subtree over idx; orders[j] holds the same members sorted
 // by feature j. Both are permuted in place by the split.
-func (g *grower) grow(idx []int, orders [][]int, depth int) *treeNode {
+func (g *grower) grow(idx []int32, orders [][]int32, depth int) *treeNode {
 	cfg := g.cfg
 	node := &treeNode{feature: -1, value: meanAt(g.target, idx)}
 	if len(idx) < 2*cfg.minLeaf || (cfg.maxDepth > 0 && depth >= cfg.maxDepth) {
@@ -244,8 +286,8 @@ func (g *grower) grow(idx []int, orders [][]int, depth int) *treeNode {
 	}
 	// Carry every feature's sorted order into the children — they may
 	// sample different candidate features.
-	leftOrders := make([][]int, d)
-	rightOrders := make([][]int, d)
+	leftOrders := make([][]int32, d)
+	rightOrders := make([][]int32, d)
 	for j := 0; j < d; j++ {
 		k := g.partition(orders[j])
 		leftOrders[j], rightOrders[j] = orders[j][:k], orders[j][k:]
@@ -260,7 +302,7 @@ func (g *grower) grow(idx []int, orders [][]int, depth int) *treeNode {
 // partition stably reorders s in place so members on side 1 of the current
 // split (per g.side) come first, in their original relative order,
 // returning their count.
-func (g *grower) partition(s []int) int {
+func (g *grower) partition(s []int32) int {
 	w, sc := 0, 0
 	for _, i := range s {
 		if g.side[i] == 1 {
@@ -300,9 +342,9 @@ func bestSplit(x [][]float64, target []float64, idx []int, j int, cfg treeConfig
 			return a.i - b.i
 		}
 	})
-	ord := make([]int, len(idx))
+	ord := make([]int32, len(idx))
 	for k := range buf {
-		ord[k] = buf[k].i
+		ord[k] = int32(buf[k].i)
 	}
 	var sumAll, sqAll float64
 	for _, i := range idx {
@@ -319,7 +361,7 @@ func bestSplit(x [][]float64, target []float64, idx []int, j int, cfg treeConfig
 // (extra-trees/Decision Jungle style); otherwise it scans midpoints of the
 // sorted unique values, maintaining running left/right sums — O(n) either
 // way.
-func bestSplitSorted(x [][]float64, target []float64, order []int, j int, sumAll, sqAll float64, cfg treeConfig, r *rng.RNG) (threshold, score float64, ok bool) {
+func bestSplitSorted(x [][]float64, target []float64, order []int32, j int, sumAll, sqAll float64, cfg treeConfig, r *rng.RNG) (threshold, score float64, ok bool) {
 	n := len(order)
 	if n == 0 || x[order[0]][j] >= x[order[n-1]][j] {
 		return 0, 0, false
@@ -483,7 +525,7 @@ func entropyOf(p float64) float64 {
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
-func meanAt(target []float64, idx []int) float64 {
+func meanAt[T int | int32](target []float64, idx []T) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
@@ -494,7 +536,7 @@ func meanAt(target []float64, idx []int) float64 {
 	return s / float64(len(idx))
 }
 
-func pureAt(target []float64, idx []int) bool {
+func pureAt[T int | int32](target []float64, idx []T) bool {
 	if len(idx) == 0 {
 		return true
 	}

@@ -94,7 +94,7 @@ func (b *BoundaryMap) LinearityScore() float64 {
 	}
 	cfg := pipeline.Config{Classifier: "lda", Params: map[string]any{}}
 	meshTrain := &dataset.Dataset{Name: b.Dataset + "/meshfit", X: b.Points, Y: b.Labels}
-	fp, err := pipeline.Fit(context.Background(), cfg, meshTrain, rng.New(0xb0d1))
+	fp, err := pipeline.Fit(context.Background(), cfg, meshTrain, rng.New(0xb0d1), nil)
 	if err != nil {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -8,8 +9,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mlaasbench/internal/classifiers"
 	"mlaasbench/internal/dataset"
 	"mlaasbench/internal/rng"
+	"mlaasbench/internal/telemetry"
 )
 
 func cacheTestSplit(t *testing.T) (train, test *dataset.Dataset) {
@@ -52,12 +55,12 @@ func TestFeatCacheMatchesDirectApply(t *testing.T) {
 		}
 		// A nil cache computes afresh every call.
 		var uncached *FeatCache
-		if gotTr, gotTe, err := uncached.Transform(context.Background(), f, train, test); err != nil ||
+		if gotTr, gotTe, err := transform(uncached, f, train, test); err != nil ||
 			!reflect.DeepEqual(gotTr, wantTr) || !reflect.DeepEqual(gotTe, wantTe) {
 			t.Fatalf("%s: nil cache differs from direct (err %v)", f, err)
 		}
 		for round := 0; round < 3; round++ {
-			gotTr, gotTe, err := cache.Transform(context.Background(), f, train, test)
+			gotTr, gotTe, err := transform(cache, f, train, test)
 			if err != nil {
 				t.Fatalf("%s round %d: %v", f, round, err)
 			}
@@ -107,7 +110,7 @@ func TestFeatCacheConcurrentSingleFit(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			xTr, _, err := cache.Transform(context.Background(), Feat{Kind: "scaler", Name: "standard"}, train, test)
+			xTr, _, err := transform(cache, Feat{Kind: "scaler", Name: "standard"}, train, test)
 			if err != nil {
 				t.Error(err)
 				return
@@ -138,12 +141,76 @@ func TestFeatCacheMemoizesErrors(t *testing.T) {
 	train, test := cacheTestSplit(t)
 	cache := NewFeatCache()
 	bad := Feat{Kind: "filter", Name: "no-such-method"}
-	_, _, err1 := cache.Transform(context.Background(), bad, train, test)
-	_, _, err2 := cache.Transform(context.Background(), bad, train, test)
+	_, _, err1 := transform(cache, bad, train, test)
+	_, _, err2 := transform(cache, bad, train, test)
 	if err1 == nil || err2 == nil {
 		t.Fatal("expected errors for unknown filter")
 	}
 	if !errors.Is(err2, err1) && err1.Error() != err2.Error() {
 		t.Fatalf("errors differ: %v vs %v", err1, err2)
 	}
+}
+
+// Fits through one cache fill each FEAT view once — one transform, one
+// transformed matrix, one presort, shared by every fit — and train the same
+// models as uncached fits. Only real FEAT options are counted.
+func TestFitWithCacheFillsViewsOnce(t *testing.T) {
+	train, _ := cacheTestSplit(t)
+	reg := telemetry.NewRegistry()
+	ctx := telemetry.WithRegistry(context.Background(), reg)
+	cache := NewFeatCache()
+	for _, f := range []Feat{{Kind: "none"}, {Kind: "scaler", Name: "standard"}} {
+		var first *featView
+		for _, clf := range []string{"dtree", "randomforest", "logreg"} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				cfg := Config{Feat: f, Classifier: clf, Params: classifiers.Params{}}
+				want, err := Fit(context.Background(), cfg, train, rng.New(seed), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Fit(ctx, cfg, train, rng.New(seed), cache)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantB, _ := classifiers.AppendFitted(nil, want.clf)
+				gotB, _ := classifiers.AppendFitted(nil, got.clf)
+				if !bytes.Equal(gotB, wantB) {
+					t.Fatalf("%s %s seed %d: cached fit differs", f, clf, seed)
+				}
+				v, err := cache.view(ctx, f, train, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = v
+				}
+				if v != first || got.transform != first.t {
+					t.Fatalf("%s %s seed %d: view refilled", f, clf, seed)
+				}
+			}
+		}
+	}
+	// Six fits and six view lookups on scaler:standard, one fit of it.
+	if m, h := reg.SumCounters(telemetry.FeatCacheMisses), reg.SumCounters(telemetry.FeatCacheHits); m != 1 || h != 11 {
+		t.Fatalf("featcache misses %d hits %d, want 1 and 11", m, h)
+	}
+}
+
+// applyFeat fits f on train and transforms both matrices directly: the
+// uncached reference the cache is checked against.
+func applyFeat(ctx context.Context, f Feat, train, test *dataset.Dataset) (xTr, xTe [][]float64, err error) {
+	t, xTr, err := FitFeatCtx(ctx, f, train)
+	if err != nil {
+		return nil, nil, err
+	}
+	return xTr, t.ApplyCtx(ctx, test.X), nil
+}
+
+// transform is the cache's view of f as the train and test matrices.
+func transform(c *FeatCache, f Feat, train, test *dataset.Dataset) (xTr, xTe [][]float64, err error) {
+	v, err := c.view(context.Background(), f, train, test)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.xTr, v.test(context.Background(), test), nil
 }

@@ -131,10 +131,12 @@ type FittedPipeline struct {
 // pipeline. The RNG discipline matches Run exactly — the classifier trains
 // under r.Split("fit/"+cfg.String()) — so Fit followed by Predict on the
 // test rows yields labels byte-identical to Run's Pred with the same
-// arguments: same seed, same model. Stage timing is context-routed (see
-// Run).
-func Fit(ctx context.Context, cfg Config, train *dataset.Dataset, r *rng.RNG) (*FittedPipeline, error) {
-	t, xTr, err := FitFeatCtx(ctx, cfg.Feat, train)
+// arguments: same seed, same model. A non-nil cache, scoped to train,
+// shares the fitted FEAT transform and the training matrix's presort with
+// every other fit on train; a nil cache fits afresh, with an identical
+// model. Stage timing is context-routed (see Run).
+func Fit(ctx context.Context, cfg Config, train *dataset.Dataset, r *rng.RNG, cache *FeatCache) (*FittedPipeline, error) {
+	v, err := cache.view(ctx, cfg.Feat, train, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -143,12 +145,12 @@ func Fit(ctx context.Context, cfg Config, train *dataset.Dataset, r *rng.RNG) (*
 		return nil, err
 	}
 	stopFit := telemetry.TimeCtx(ctx, "fit")
-	err = clf.Fit(xTr, train.Y, r.Split("fit/"+cfg.String()))
+	err = classifiers.FitWith(clf, v.xTr, train.Y, r.Split("fit/"+cfg.String()), v.pre)
 	stopFit()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: fit %s on %s: %w", cfg.Classifier, train.Name, err)
 	}
-	return &FittedPipeline{Config: cfg, transform: t, clf: clf}, nil
+	return &FittedPipeline{Config: cfg, transform: v.t, clf: clf}, nil
 }
 
 // Predict labels query points with the resident model: transform with the

@@ -98,9 +98,10 @@ type Result struct {
 // Run executes the config on the given split: fit FEAT on the training
 // data, transform both sides, train the classifier, predict the test set
 // and score. The RNG governs all stochastic training steps. With a non-nil
-// cache the FEAT transform is fitted at most once per option and the
-// transformed matrices are shared read-only across configs; a nil cache
-// fits per call, with identical results.
+// cache the FEAT transform is fitted at most once per option, and the
+// transformed matrices and the training matrix's presort are shared
+// read-only across configs; a nil cache fits per call, with identical
+// results.
 //
 // Stage timings become child spans when ctx carries a span (so a measured
 // config renders as one trace tree) and land in ctx's registry, falling
@@ -108,7 +109,7 @@ type Result struct {
 // is context-free — cancellation is the sweep scheduler's job, between
 // configs.
 func Run(ctx context.Context, cfg Config, train, test *dataset.Dataset, r *rng.RNG, cache *FeatCache) (Result, error) {
-	xTr, xTe, err := cache.Transform(ctx, cfg.Feat, train, test)
+	v, err := cache.view(ctx, cfg.Feat, train, test)
 	if err != nil {
 		return Result{}, err
 	}
@@ -117,13 +118,13 @@ func Run(ctx context.Context, cfg Config, train, test *dataset.Dataset, r *rng.R
 		return Result{}, err
 	}
 	stopFit := telemetry.TimeCtx(ctx, "fit")
-	err = clf.Fit(xTr, train.Y, r.Split("fit/"+cfg.String()))
+	err = classifiers.FitWith(clf, v.xTr, train.Y, r.Split("fit/"+cfg.String()), v.pre)
 	stopFit()
 	if err != nil {
 		return Result{}, fmt.Errorf("pipeline: fit %s on %s: %w", cfg.Classifier, train.Name, err)
 	}
 	stopPredict := telemetry.TimeCtx(ctx, "predict")
-	pred := PredictSharded(clf.Predict, xTe, PredictShardsFrom(ctx))
+	pred := PredictSharded(clf.Predict, v.test(ctx, test), PredictShardsFrom(ctx))
 	stopPredict()
 	stopScore := telemetry.TimeCtx(ctx, "score")
 	scores, err := metrics.Score(test.Y, pred)
@@ -132,18 +133,6 @@ func Run(ctx context.Context, cfg Config, train, test *dataset.Dataset, r *rng.R
 		return Result{}, fmt.Errorf("pipeline: score: %w", err)
 	}
 	return Result{Config: cfg, Scores: scores, Pred: pred}, nil
-}
-
-// applyFeat fits the FEAT option on the training set and transforms both
-// feature matrices — FitFeatCtx plus one ApplyCtx. Scaling records under
-// the "preprocess" stage, filter methods and Fisher-LDA under "featsel";
-// the no-op option records nothing.
-func applyFeat(ctx context.Context, f Feat, train, test *dataset.Dataset) (xTr, xTe [][]float64, err error) {
-	t, xTr, err := FitFeatCtx(ctx, f, train)
-	if err != nil {
-		return nil, nil, err
-	}
-	return xTr, t.ApplyCtx(ctx, test.X), nil
 }
 
 // ClassifierSurface is the exposed tuning surface of one classifier on a

@@ -100,7 +100,7 @@ func TestFitPredictsMeshGrid(t *testing.T) {
 	sp := testSplit(t)
 	pts := sp.Train.MeshGrid(10, 0.5)
 	cfg := Config{Classifier: "dtree"}
-	fp, err := Fit(context.Background(), cfg, sp.Train, rng.New(5))
+	fp, err := Fit(context.Background(), cfg, sp.Train, rng.New(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

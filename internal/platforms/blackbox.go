@@ -79,13 +79,13 @@ func (b *blackBox) candidate(name string) pipeline.Config {
 }
 
 // RunCtx implements Platform. The user config is ignored: the service
-// accepts only the dataset, like the real 1-click APIs. The cache is
-// ignored too: the black boxes expose no FEAT dimension and their hidden
-// probe depends on the seed, so there is nothing split-cacheable.
-func (b *blackBox) RunCtx(ctx context.Context, _ pipeline.Config, train, test *dataset.Dataset, seed uint64, _ *pipeline.FeatCache) (pipeline.Result, error) {
+// accepts only the dataset, like the real 1-click APIs. The hidden probe
+// fits on a seed-dependent internal split, so only the final fit on the
+// full training set uses the cache.
+func (b *blackBox) RunCtx(ctx context.Context, _ pipeline.Config, train, test *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (pipeline.Result, error) {
 	r := runRNG(b.name, train.Name, seed)
 	cfg := b.choose(ctx, train, r.Split("choose"))
-	res, err := pipeline.Run(ctx, cfg, train, test, r.Split("final"), nil)
+	res, err := pipeline.Run(ctx, cfg, train, test, r.Split("final"), cache)
 	if err != nil {
 		return pipeline.Result{}, err
 	}
@@ -105,16 +105,17 @@ func (b *blackBox) Run(cfg pipeline.Config, train, test *dataset.Dataset, seed u
 // the chosen candidate once, and keep the result resident. The RNG stream
 // is exactly the one RunCtx consumes ("choose" then "final"), so the fitted
 // model — including which family the probe picked — predicts the test rows
-// byte-identically to RunCtx.
-func (b *blackBox) FitCtx(ctx context.Context, _ pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
+// byte-identically to RunCtx. As in RunCtx, only the final fit uses the
+// cache.
+func (b *blackBox) FitCtx(ctx context.Context, _ pipeline.Config, train *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (FittedModel, error) {
 	r := runRNG(b.name, train.Name, seed)
 	cfg := b.choose(ctx, train, r.Split("choose"))
-	return pipeline.Fit(ctx, cfg, train, r.Split("final"))
+	return pipeline.Fit(ctx, cfg, train, r.Split("final"), cache)
 }
 
 // Fit implements Platform.
 func (b *blackBox) Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
-	return b.FitCtx(context.Background(), cfg, train, seed)
+	return b.FitCtx(context.Background(), cfg, train, seed, nil)
 }
 
 // ChosenFamily exposes whether the hidden probe picks the non-linear

@@ -57,9 +57,12 @@ type Platform interface {
 	// fitted scaler/filter/LDA, trained classifier, hidden preprocessing
 	// (Amazon's binner) and the black boxes' resolved candidate choice.
 	// It trains under the same RNG stream as RunCtx with the same seed, so
-	// its Predict on the test rows is byte-identical to RunCtx's Pred.
-	FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error)
-	// Fit is FitCtx with a background context.
+	// its Predict on the test rows is byte-identical to RunCtx's Pred. A
+	// non-nil cache, scoped to train, shares fitted FEAT transforms and
+	// tree presorts across every fit on train; the model is identical with
+	// a nil cache.
+	FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (FittedModel, error)
+	// Fit is FitCtx with a background context and no cache.
 	Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error)
 }
 
@@ -154,16 +157,16 @@ func (u *userPlatform) Run(cfg pipeline.Config, train, test *dataset.Dataset, se
 
 // FitCtx implements Platform: validate against the surface, then train the
 // standard pipeline once under the same RNG stream RunCtx derives.
-func (u *userPlatform) FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
+func (u *userPlatform) FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset.Dataset, seed uint64, cache *pipeline.FeatCache) (FittedModel, error) {
 	if err := u.validate(cfg); err != nil {
 		return nil, err
 	}
-	return pipeline.Fit(ctx, cfg, train, runRNG(u.name, train.Name, seed))
+	return pipeline.Fit(ctx, cfg, train, runRNG(u.name, train.Name, seed), cache)
 }
 
 // Fit implements Platform.
 func (u *userPlatform) Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
-	return u.FitCtx(context.Background(), cfg, train, seed)
+	return u.FitCtx(context.Background(), cfg, train, seed, nil)
 }
 
 // runRNG derives the deterministic RNG for one platform/dataset run.

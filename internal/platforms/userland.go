@@ -62,13 +62,15 @@ func (a *Amazon) Run(cfg pipeline.Config, train, test *dataset.Dataset, seed uin
 // FitCtx implements Platform: the fitted artifact bundles the hidden binner
 // with the trained pipeline, so query points are binned with the statistics
 // learned at train time. (As with RunCtx, the embedded userPlatform.FitCtx
-// would skip the hidden binning entirely.)
-func (a *Amazon) FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
+// would skip the hidden binning entirely.) The binned set is not the
+// cache's training set and logistic regression has no presort to share, so
+// the cache is unused.
+func (a *Amazon) FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset.Dataset, seed uint64, _ *pipeline.FeatCache) (FittedModel, error) {
 	if err := a.validate(cfg); err != nil {
 		return nil, err
 	}
 	q := a.binner(train)
-	fp, err := pipeline.Fit(ctx, cfg, binned(q, train), runRNG(a.name, train.Name, seed))
+	fp, err := pipeline.Fit(ctx, cfg, binned(q, train), runRNG(a.name, train.Name, seed), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +79,7 @@ func (a *Amazon) FitCtx(ctx context.Context, cfg pipeline.Config, train *dataset
 
 // Fit implements Platform.
 func (a *Amazon) Fit(cfg pipeline.Config, train *dataset.Dataset, seed uint64) (FittedModel, error) {
-	return a.FitCtx(context.Background(), cfg, train, seed)
+	return a.FitCtx(context.Background(), cfg, train, seed, nil)
 }
 
 // binnedModel pairs Amazon's hidden quantile binner with a trained pipeline

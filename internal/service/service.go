@@ -58,8 +58,8 @@ import (
 type Server struct {
 	mu       sync.RWMutex
 	plats    map[string]platforms.Platform
-	datasets map[string]*dataset.Dataset // key: platform/id
-	models   map[string]*storedModel     // key: platform/id
+	datasets map[string]*datasetEntry // key: platform/id
+	models   map[string]*storedModel  // key: platform/id
 	logf     func(format string, args ...any)
 	reg      *telemetry.Registry
 	started  time.Time
@@ -85,10 +85,19 @@ type Server struct {
 	profiles *profiling.Store
 }
 
+// datasetEntry is one uploaded dataset with the training views derived from
+// it — fitted FEAT transforms and the tree learners' column presorts —
+// memoized lazily and shared read-only by every train and refit on it. The
+// views live exactly as long as the entry.
+type datasetEntry struct {
+	data  *dataset.Dataset
+	views *pipeline.FeatCache
+}
+
 // storedModel is the durable description of a model; the fitted artifact it
 // resolves to lives in the server's modelCache under key.
 type storedModel struct {
-	data   *dataset.Dataset
+	ds     *datasetEntry
 	config pipeline.Config
 	seed   uint64
 	key    string // modelKey, computed once at train
@@ -120,7 +129,7 @@ func NewServer(logf func(format string, args ...any)) *Server {
 	}
 	s := &Server{
 		plats:    map[string]platforms.Platform{},
-		datasets: map[string]*dataset.Dataset{},
+		datasets: map[string]*datasetEntry{},
 		models:   map[string]*storedModel{},
 		logf:     logf,
 		reg:      telemetry.Default(),
@@ -664,8 +673,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := contentID("ds-", enc)
+	// Equal ids mean equal bytes, so a re-upload (a client retry, a router
+	// repair) keeps the existing entry: models trained on it and its
+	// memoized views stay shared.
+	key := p.Name() + "/" + id
 	s.mu.Lock()
-	s.datasets[p.Name()+"/"+id] = ds
+	if _, ok := s.datasets[key]; !ok {
+		s.datasets[key] = &datasetEntry{data: ds, views: pipeline.NewFeatCache()}
+	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, UploadResponse{ID: id, Samples: ds.N(), Columns: ds.D()})
 }
@@ -724,7 +739,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 
 	id := contentID("m-", []byte(key))
 	s.mu.Lock()
-	s.models[p.Name()+"/"+id] = &storedModel{data: ds, config: cfg, seed: req.Seed, key: key}
+	s.models[p.Name()+"/"+id] = &storedModel{ds: ds, config: cfg, seed: req.Seed, key: key}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, TrainResponse{ID: id})
 }
@@ -812,7 +827,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusNotFound, "unknown model %q on %s", r.PathValue("model"), p.Name())
 		return
 	}
-	width := m.data.D()
+	width := m.ds.data.D()
 	binaryIn, binaryOut := negotiatePredict(r)
 	codec := "json"
 	if binaryIn {
@@ -832,7 +847,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resCtx, resolve := telemetry.StartSpan(ctx, "model_resolve")
 	fm, refit, err := s.fits.get(m.key, func() (platforms.FittedModel, error) {
-		return fitInSpan(resCtx, p, m.config, m.data, m.seed)
+		return fitInSpan(resCtx, p, m.config, m.ds, m.seed)
 	})
 	path := "forward"
 	if refit {
@@ -974,14 +989,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PredictResponse{Labels: labels})
 }
 
-// fitInSpan runs the platform fit inside a "model_fit" child span of ctx
-// (the pipeline's own "fit"/"preprocess"/"featsel" stage spans nest below
-// it).
+// fitInSpan runs the platform fit on ds, sharing its memoized views, inside
+// a "model_fit" child span of ctx (the pipeline's own
+// "fit"/"preprocess"/"featsel" stage spans nest below it).
 // It only runs for the request that actually fits: coalesced waiters and
 // cache hits never enter the modelCache fill function.
-func fitInSpan(ctx context.Context, p platforms.Platform, cfg pipeline.Config, ds *dataset.Dataset, seed uint64) (platforms.FittedModel, error) {
+func fitInSpan(ctx context.Context, p platforms.Platform, cfg pipeline.Config, ds *datasetEntry, seed uint64) (platforms.FittedModel, error) {
 	fitCtx, span := telemetry.StartSpan(ctx, "model_fit")
-	fm, err := p.FitCtx(fitCtx, cfg, ds, seed)
+	fm, err := p.FitCtx(fitCtx, cfg, ds.data, seed, ds.views)
 	span.SetError(err)
 	span.End()
 	return fm, err

@@ -63,7 +63,7 @@ func TestModelRoundTripEveryClassifier(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := pipeline.Config{Feat: pipeline.Feat{Kind: "none"}, Classifier: name, Params: params}
-		fp, err := pipeline.Fit(context.Background(), cfg, train, rng.New(11))
+		fp, err := pipeline.Fit(context.Background(), cfg, train, rng.New(11), nil)
 		if err != nil {
 			t.Fatalf("%s: Fit: %v", name, err)
 		}
