@@ -2,6 +2,8 @@ package classifiers
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"mlaasbench/internal/rng"
@@ -569,5 +571,95 @@ func TestGrowTreePureLeaf(t *testing.T) {
 	}
 	if node.value != 1 {
 		t.Fatalf("leaf value %v", node.value)
+	}
+}
+
+// expandRows materialises the multiset idx as a matrix with one physical row
+// per copy, so a tree grown over all of its rows sees every sample once.
+func expandRows(x [][]float64, target []float64, idx []int) ([][]float64, []float64) {
+	xe := make([][]float64, len(idx))
+	te := make([]float64, len(idx))
+	for k, i := range idx {
+		xe[k], te[k] = x[i], target[i]
+	}
+	return xe, te
+}
+
+// repeatedSample is a small matrix on a coarse grid (ties on every feature)
+// with noisy 0/1 labels, and a draw of 2.5n rows from it with replacement:
+// most rows repeat, several times.
+func repeatedSample(seed uint64) (x [][]float64, target []float64, idx []int) {
+	r := rng.New(seed)
+	const n = 16
+	x = make([][]float64, n)
+	target = make([]float64, n)
+	for i := range x {
+		x[i] = []float64{float64(r.Intn(7)) / 2, float64(r.Intn(7)) / 2, float64(r.Intn(4))}
+		if x[i][0] > x[i][1] != r.Bernoulli(0.2) {
+			target[i] = 1
+		}
+	}
+	idx = make([]int, 5*n/2)
+	for k := range idx {
+		idx[k] = r.Intn(n)
+	}
+	return x, target, idx
+}
+
+// A tree over a sample that repeats rows must be the tree over the same
+// samples laid out as distinct physical rows: node sizes, leaf values,
+// thresholds and random draws all count every copy. The configurations
+// stop growth on the node size (min leaf, node threshold) where the distinct
+// rows alone would fall on the other side of the limit.
+func TestGrowTreeRepeatedRowsMatchExpandedRows(t *testing.T) {
+	cfgs := []treeConfig{
+		{criterion: "gini", minLeaf: 3, nodeThreshold: 9, maxDepth: 2, randomSplits: 4},
+		{criterion: "gini", minLeaf: 3, nodeThreshold: 9, maxDepth: 2},
+		{criterion: "gini", minLeaf: 4},
+		{criterion: "gini", minLeaf: 1, maxFeatures: "sqrt", randomSplits: 2},
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		x, target, idx := repeatedSample(seed)
+		xe, te := expandRows(x, target, idx)
+		for _, cfg := range cfgs {
+			got := growTreePresorted(presortFeatures(x), &treeMem{}, x, target, idx, cfg, rng.New(seed), 0)
+			want := growTreePresorted(presortFeatures(xe), &treeMem{}, xe, te, allIndices(len(xe)), cfg, rng.New(seed), 0)
+			if got.feature < 0 {
+				t.Fatalf("seed %d %+v: root did not split", seed, cfg)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %+v: tree over repeated rows differs from the tree over expanded rows", seed, cfg)
+			}
+		}
+	}
+}
+
+// Targets that are not 0/1 labels (boosting residuals) make weighted sums
+// inexact, so a repeating sample of them grows as if expanded, under mse and
+// under gini alike. idx is sorted so that the expanded matrix's ties fall in
+// the same order as the repeated rows' and every sum runs in the same order.
+func TestGrowTreeRepeatedRowsNonLabelTargets(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		x, _, idx := repeatedSample(seed)
+		r := rng.New(100 + seed)
+		target := make([]float64, len(x))
+		for i := range target {
+			target[i] = r.Uniform(-1, 1)
+		}
+		slices.Sort(idx)
+		xe, te := expandRows(x, target, idx)
+		for _, cfg := range []treeConfig{
+			{criterion: "mse", minLeaf: 2, maxDepth: 3},
+			{criterion: "gini", minLeaf: 3, nodeThreshold: 9, maxDepth: 2, randomSplits: 4},
+		} {
+			got := growTreePresorted(presortFeatures(x), &treeMem{}, x, target, idx, cfg, rng.New(seed), 0)
+			want := growTreePresorted(presortFeatures(xe), &treeMem{}, xe, te, allIndices(len(xe)), cfg, rng.New(seed), 0)
+			if got.feature < 0 {
+				t.Fatalf("seed %d %+v: root did not split", seed, cfg)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %+v: tree over repeated rows differs from the tree over expanded rows", seed, cfg)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,18 +55,43 @@ func TestStoreRingPrunesOldest(t *testing.T) {
 	}
 }
 
+// pprofTool is the path of the toolchain's pprof binary, resolved once.
+var pprofTool struct {
+	once sync.Once
+	path string
+	err  error
+}
+
 // GoToolPprof runs `go tool pprof args...` — the reader bundles are made
-// for — under a 30 s deadline and returns its combined output. It skips
-// the test when go is not on PATH. Exported for the external e2e tests.
+// for — under a 30 s deadline and returns its combined output. It runs the
+// pprof binary itself (resolved once with `go tool -n pprof`), not the go
+// command, so the deadline kills pprof rather than orphaning it, and
+// WaitDelay bounds the wait for its output pipe. It skips the test when go
+// is not on PATH. Exported for the external e2e tests.
 func GoToolPprof(t testing.TB, args ...string) (string, error) {
 	t.Helper()
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go not on PATH: cannot run go tool pprof")
 	}
+	pprofTool.once.Do(func() {
+		out, err := runBounded(goBin, "tool", "-n", "pprof")
+		pprofTool.path, pprofTool.err = strings.TrimSpace(out), err
+	})
+	if pprofTool.err != nil {
+		t.Fatalf("go tool -n pprof: %v", pprofTool.err)
+	}
+	return runBounded(pprofTool.path, args...)
+}
+
+// runBounded runs name args... under a 30 s deadline and returns its
+// combined output.
+func runBounded(name string, args ...string) (string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	out, err := exec.CommandContext(ctx, goBin, append([]string{"tool", "pprof"}, args...)...).CombinedOutput()
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.WaitDelay = 5 * time.Second
+	out, err := cmd.CombinedOutput()
 	return string(out), err
 }
 
