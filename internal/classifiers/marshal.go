@@ -245,14 +245,27 @@ func DecodeFitted(r *codec.Reader) (Classifier, error) {
 		c = t
 	case "knn":
 		t := &KNN{params: params}
-		t.x = readMatrix(r)
-		t.y = r.Ints(maxModelSamples)
-		if r.Err() == nil {
-			if len(t.y) != len(t.x) {
-				r.Fail("knn: %d rows vs %d labels", len(t.x), len(t.y))
-			} else if len(t.x) > 0 {
-				t.xm = linalg.FromRows(t.x)
+		// The training rows decode straight into the one contiguous matrix
+		// the distance kernels scan; t.x is row views over it.
+		rows := r.Count(maxModelSamples, 0)
+		cols := r.Count(maxModelFeatures, 0)
+		if r.Err() == nil && rows > 0 {
+			if rows*cols*8 > r.Remaining() {
+				r.Fail("knn: matrix %dx%d exceeds payload", rows, cols)
+			} else {
+				t.xm = linalg.NewMatrix(rows, cols)
+				for i := range t.xm.Data {
+					t.xm.Data[i] = r.F64()
+				}
+				t.x = make([][]float64, rows)
+				for i := range t.x {
+					t.x[i] = t.xm.Data[i*cols : (i+1)*cols : (i+1)*cols]
+				}
 			}
+		}
+		t.y = r.Ints(maxModelSamples)
+		if r.Err() == nil && len(t.y) != len(t.x) {
+			r.Fail("knn: %d rows vs %d labels", len(t.x), len(t.y))
 		}
 		c = t
 	case "mlp":
@@ -332,28 +345,6 @@ func appendMatrix(b []byte, x [][]float64) []byte {
 		}
 	}
 	return b
-}
-
-// readMatrix reconstructs a matrix over one flat backing allocation.
-func readMatrix(r *codec.Reader) [][]float64 {
-	rows := r.Count(maxModelSamples, 0)
-	cols := r.Count(maxModelFeatures, 0)
-	if r.Err() != nil || rows == 0 {
-		return nil
-	}
-	if rows*cols*8 > r.Remaining() {
-		r.Fail("matrix %dx%d exceeds payload", rows, cols)
-		return nil
-	}
-	flat := make([]float64, rows*cols)
-	for i := range flat {
-		flat[i] = r.F64()
-	}
-	x := make([][]float64, rows)
-	for i := range x {
-		x[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
-	}
-	return x
 }
 
 // Tree serialization: preorder, one record per node (feature i32 as i64,

@@ -154,6 +154,7 @@ func benchModel(b *testing.B) platforms.FittedModel {
 // demotion or write-through pays off the serving path.
 func BenchmarkModelEncodeMLMF(b *testing.B) {
 	m := benchModel(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := EncodeModel("bench/key", m); err != nil {
@@ -170,10 +171,60 @@ func BenchmarkModelDecodeMLMF(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := DecodeModel(blob); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStoreGetModel measures a disk-tier rehit end to end — open,
+// read and decode a 1200×16 kNN artifact — the load a model-cache miss
+// pays when the store holds the model.
+func BenchmarkStoreGetModel(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.PutModel("bench/knn", knnModel(b, 1200, 16)); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(s.ModelPath("bench/knn"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := s.GetModel("bench/knn"); !ok || err != nil {
+			b.Fatalf("GetModel: ok=%v err=%v", ok, err)
+		}
+	}
+}
+
+// BenchmarkStorePutModel measures a write-through of the same kNN model —
+// encode, temp file, write and rename. The artifact is unlinked between
+// iterations, outside the timer, so every put writes.
+func BenchmarkStorePutModel(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := knnModel(b, 1200, 16)
+	path := s.ModelPath("bench/knn")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.PutModel("bench/knn", m); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := os.Remove(path); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

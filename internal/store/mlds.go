@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"path/filepath"
 	"unsafe"
 
 	"mlaasbench/internal/codec"
@@ -392,15 +393,29 @@ func codecErrf(format string, args ...any) error {
 }
 
 // atomicWrite writes b to path via a temp file and rename, so readers never
-// observe a torn artifact.
-func atomicWrite(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+// observe a torn artifact. Each call writes its own uniquely named temp file
+// (ending ".tmp", which no scan mistakes for an artifact), so concurrent
+// writers of one path never truncate each other's bytes: each rename
+// installs a complete file, and the last one wins.
+func atomicWrite(path string, b []byte) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	return nil
+	if _, err = f.Write(b); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }

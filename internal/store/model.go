@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"mlaasbench/internal/codec"
 	"mlaasbench/internal/platforms"
@@ -20,7 +21,9 @@ import (
 //	end     : u32 CRC32-C over bytes [0, size-4)
 //
 // Artifacts are small (coefficients, trees, kNN backing), so the whole file
-// is read, CRC-verified, then decoded — no partial reads to tear.
+// is read, CRC-verified, then decoded — no partial reads to tear. The
+// decoded model owns every byte it holds (the codec readers copy), so the
+// file is read into a pooled buffer that is reused by the next read.
 //
 // Version 2 marks keys that embed a content-addressed dataset id. Version 1
 // keys embedded a per-process counter ("ds-1"), which names a different
@@ -35,22 +38,55 @@ const (
 	// under a hundredth of this.
 	maxModelBytes = 1 << 30
 	maxKeyLen     = 1 << 10
+
+	// maxPooledBytes caps the buffers kept in modelBufs, so one outsized
+	// artifact cannot stay pinned in the pool after its read or write.
+	maxPooledBytes = 4 << 20
 )
+
+// modelBufs recycles the byte buffers MLMF artifacts are read into and
+// encoded into. Only MLMF uses it: a decoded model never aliases its
+// artifact, whereas MLDS files back zero-copy views and are never pooled.
+var modelBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// getModelBuf returns a pooled buffer of length n.
+func getModelBuf(n int) *[]byte {
+	bp := modelBufs.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+// putModelBuf returns a buffer to the pool unless it has grown past
+// maxPooledBytes.
+func putModelBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBytes {
+		modelBufs.Put(bp)
+	}
+}
 
 // EncodeModel serializes a fitted model under its cache key.
 func EncodeModel(key string, m platforms.FittedModel) ([]byte, error) {
-	payload := codec.AppendString(nil, key)
-	payload, err := platforms.AppendFittedModel(payload, m)
+	return appendModel(nil, key, m)
+}
+
+// appendModel appends the MLMF artifact for key and m to dst: the header
+// is reserved first and its payload length patched in once the key and
+// model are appended, so the payload is written once, in place.
+func appendModel(dst []byte, key string, m platforms.FittedModel) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, mlmfMagic...)
+	dst = binary.LittleEndian.AppendUint16(dst, mlmfVersion)
+	dst = append(dst, make([]byte, mlmfHeaderSize-6)...) // flags, payloadLen
+	dst = codec.AppendString(dst, key)
+	dst, err := platforms.AppendFittedModel(dst, m)
 	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, mlmfHeaderSize, mlmfHeaderSize+len(payload)+4)
-	copy(b, mlmfMagic)
-	binary.LittleEndian.PutUint16(b[4:], mlmfVersion)
-	binary.LittleEndian.PutUint64(b[8:], uint64(len(payload)))
-	b = append(b, payload...)
-	b = codec.AppendU32(b, crc32.Checksum(b, castagnoli))
-	return b, nil
+	binary.LittleEndian.PutUint64(dst[start+8:], uint64(len(dst)-start-mlmfHeaderSize))
+	return codec.AppendU32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
 }
 
 // DecodeModel reconstructs the cache key and fitted model from an MLMF

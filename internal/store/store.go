@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -56,30 +57,53 @@ func (s *Store) PutModel(key string, m platforms.FittedModel) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	b, err := EncodeModel(key, m)
+	bp := getModelBuf(0)
+	defer putModelBuf(bp)
+	b, err := appendModel(*bp, key, m)
 	if err != nil {
 		return fmt.Errorf("store: encode %q: %w", key, err)
 	}
+	*bp = b
 	if err := atomicWrite(path, b); err != nil {
 		return fmt.Errorf("store: write %q: %w", key, err)
 	}
 	return nil
 }
 
+// readModel reads and decodes the MLMF artifact at path through a pooled
+// buffer, which is released before returning: DecodeModel copies all it
+// keeps.
+func readModel(path string) (key string, m platforms.FittedModel, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return "", nil, err
+	}
+	if size := st.Size(); size > maxModelBytes {
+		return "", nil, modelErrf("artifact %d bytes exceeds limit %d", size, maxModelBytes)
+	}
+	bp := getModelBuf(int(st.Size()))
+	defer putModelBuf(bp)
+	if _, err := io.ReadFull(f, *bp); err != nil {
+		return "", nil, err
+	}
+	return DecodeModel(*bp)
+}
+
 // GetModel loads the artifact for a cache key. ok=false with a nil error
 // means no artifact exists; a non-nil error means one exists but is
 // unreadable or corrupt.
 func (s *Store) GetModel(key string) (m platforms.FittedModel, ok bool, err error) {
-	data, err := os.ReadFile(s.ModelPath(key))
+	storedKey, m, err := readModel(s.ModelPath(key))
 	if os.IsNotExist(err) {
 		return nil, false, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("store: read %q: %w", key, err)
-	}
-	storedKey, m, err := DecodeModel(data)
-	if err != nil {
-		return nil, false, fmt.Errorf("store: decode %q: %w", key, err)
+		return nil, false, fmt.Errorf("store: load %q: %w", key, err)
 	}
 	if storedKey != key {
 		return nil, false, fmt.Errorf("store: artifact for %q holds key %q", key, storedKey)
@@ -106,14 +130,9 @@ func (s *Store) Models(fn func(key string, m platforms.FittedModel, load time.Du
 	sort.Strings(names)
 	for _, name := range names {
 		start := time.Now()
-		data, err := os.ReadFile(filepath.Join(s.dir, name))
+		key, m, err := readModel(filepath.Join(s.dir, name))
 		if err != nil {
-			skipped = append(skipped, fmt.Errorf("store: read %s: %w", name, err))
-			continue
-		}
-		key, m, err := DecodeModel(data)
-		if err != nil {
-			skipped = append(skipped, fmt.Errorf("store: decode %s: %w", name, err))
+			skipped = append(skipped, fmt.Errorf("store: load %s: %w", name, err))
 			continue
 		}
 		if err := fn(key, m, time.Since(start)); err != nil {
