@@ -247,7 +247,9 @@ func growTreePresorted(pre *featurePresort, mem *treeMem, x [][]float64, target 
 // grower carries the per-tree growth state. Node membership (idx and the
 // per-feature sorted orders) lives in slices that are stably partitioned in
 // place as the tree splits: children own disjoint subranges of the parent's
-// storage, so growth allocates nothing per node beyond the nodes themselves.
+// storage, so no node copies member indices. Each internal node still
+// allocates its children's order headers (2·d slice headers) and its list
+// of candidate features, besides the node itself.
 // Row indices are int32 like the presort's, so deriving a tree's orders is a
 // plain copy and every partition moves half the bytes.
 type grower struct {
