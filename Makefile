@@ -90,18 +90,19 @@ wire-smoke:
 # Artifact-store smoke: the MLDS/MLMF round-trip and corruption tests, both
 # decoder fuzz seed corpora (corrupt artifacts must error, never panic), the
 # restart-over-a-store-dir oracle (a restarted server never serves another
-# dataset's artifact) and the warm scan skipping undecodable artifacts, a
-# cross-compile of the store package for a platform without the mmap fast
-# path (the portable read path must build everywhere), a convert->inspect
-# CLI round trip, and a short warm-restart A/B (warm arm must run 0 fits).
+# dataset's artifact), TestWarmRestartServesFirstPredictWithoutRefit (a
+# restart warmed from the store runs 0 fits and serves byte-identical
+# labels) and the warm scan skipping undecodable artifacts, a cross-compile
+# of the store package for a platform without the mmap fast path (the
+# portable read path must build everywhere), and a convert->inspect CLI
+# round trip.
 store-smoke:
 	$(GO) test -count=1 ./internal/store
 	$(GO) test -count=1 -run 'FuzzDatasetDecoder|FuzzModelDecoder' ./internal/store
-	$(GO) test -count=1 -run 'TestRestartOverStoreServesTheUploadedData|TestWarmScanSkipsUndecodableArtifacts' ./internal/service
+	$(GO) test -count=1 -run 'TestRestartOverStoreServesTheUploadedData|TestWarmRestartServesFirstPredictWithoutRefit|TestWarmScanSkipsUndecodableArtifacts' ./internal/service
 	GOOS=windows GOARCH=amd64 $(GO) build ./internal/store
 	$(GO) run ./cmd/mlaas-datasets convert -out /tmp/mlaas-mlds-smoke -name CIRCLE
 	$(GO) run ./cmd/mlaas-datasets inspect -in /tmp/mlaas-mlds-smoke/CIRCLE.mlds >/dev/null
-	$(GO) run ./cmd/mlaas-loadgen -restart -restart-trials 3 >/dev/null
 
 # Performance-tracking smoke: one single-iteration pass of the kernel trio
 # through mlaas-perf, then a report-only diff against the committed history

@@ -57,7 +57,6 @@ import (
 
 	"mlaasbench/internal/classifiers"
 	"mlaasbench/internal/core"
-	"mlaasbench/internal/linalg"
 	"mlaasbench/internal/pipeline"
 	"mlaasbench/internal/platforms"
 	"mlaasbench/internal/profiling"
@@ -92,12 +91,6 @@ func main() {
 		"capture continuous-profiler bundles into this directory: periodic captures during the sweep plus one tagged end-of-run bundle (read with go tool pprof -top <dir>/<bundle>/cpu.pprof)")
 	profileInterval := flag.Duration("profile-interval", 30*time.Second, "period between periodic captures while the run is in flight")
 	flag.Parse()
-
-	// Kernel durations land in the default registry so the -telemetry
-	// summary shows where GEMM/distance time goes across the sweep.
-	linalg.SetKernelHook(func(kernel string, seconds float64) {
-		telemetry.Default().Histogram(telemetry.KernelHistogram, "kernel", kernel).Observe(seconds)
-	})
 
 	// The profiler shares the default registry with everything above, so
 	// its sidecars link the slowest sweep traces and its counters land in

@@ -8,31 +8,12 @@
 //	              [-codec json|binary] [-seed 1] [-cache 128]
 //	              [-url http://host:8080] [-out BENCH.json]
 //	              [-perf-dir perf/results] [-perf-label loadgen]
-//	              [-saturate auto|r1,r2,...] [-saturate-duration 2s]
-//	              [-admit-concurrency NumCPU] [-admit-queue 64]
-//	              [-restart] [-restart-trials 5]
-//
-// -restart replaces the closed-loop passes with a warm-restart A/B: it
-// seeds a durable artifact store (internal/store MLMF files) with one
-// fitted model, then repeatedly boots fresh in-process servers and times
-// restart-to-first-predict — cold (no store, the train refits) versus warm
-// (cache warmed from the store at boot, the train is a cache hit and the
-// first predict is a pure forward pass). The report records both medians,
-// the fit counts (warm must be zero), and the speedup.
 //
 // -codec binary sends predict bodies as internal/wire binary frames instead
 // of JSON (and receives binary label frames back) — same requests, same
 // labels, less encode/decode work per request. Reports record the codec;
 // perf history series keep their names so codec changes show up as steps in
 // the same trajectory.
-//
-// -saturate switches from closed-loop to open-loop: arrivals are offered at
-// fixed rates regardless of completions, and the report becomes a goodput
-// vs offered-load curve with its knee. "auto" first measures closed-loop
-// capacity, then sweeps 0.5x..3x of it. In-process saturation runs start
-// the server with admission control (-admit-concurrency/-admit-queue) so
-// excess load is shed with 503 + Retry-After and goodput stays flat past
-// the knee; sheds are counted separately from errors via the status code.
 //
 // -perf-dir additionally appends the run to the committed perf history in
 // the same record schema mlaas-perf writes, so loadgen throughput and
@@ -63,7 +44,6 @@ import (
 	"log"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,7 +52,6 @@ import (
 
 	"mlaasbench/internal/client"
 	"mlaasbench/internal/dataset"
-	"mlaasbench/internal/linalg"
 	"mlaasbench/internal/perf"
 	"mlaasbench/internal/pipeline"
 	"mlaasbench/internal/profiling"
@@ -115,10 +94,6 @@ type Report struct {
 	Passes     []PassReport `json:"passes"`
 	// SpeedupRPS is forward req/s over refit req/s (0 for remote runs).
 	SpeedupRPS float64 `json:"speedup_rps,omitempty"`
-	// Saturation is set by -saturate runs (goodput vs offered load).
-	Saturation *SaturationReport `json:"saturation,omitempty"`
-	// Restart is set by -restart runs (cold vs warm restart-to-predict).
-	Restart *RestartReport `json:"restart,omitempty"`
 	// Cluster is set by -cluster runs (goodput vs fleet size through the
 	// router, per-replica capacity fixed by -replica-budget).
 	Cluster *ClusterReport `json:"cluster,omitempty"`
@@ -137,15 +112,9 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "training seed")
 		cache      = flag.Int("cache", service.DefaultModelCacheModels, "model-cache size for the forward pass (in-process mode)")
 		codecName  = flag.String("codec", "json", "predict body codec: json or binary (the internal/wire frame format)")
-		saturate   = flag.String("saturate", "", `offered-load sweep: "auto" (multiples of measured capacity) or comma-separated req/s rates; replaces the closed-loop passes`)
-		satDur     = flag.Duration("saturate-duration", 2*time.Second, "measured duration per saturation point")
-		restart    = flag.Bool("restart", false, "measure cold vs warm restart-to-first-predict using a durable artifact store; replaces the closed-loop passes")
-		restartN   = flag.Int("restart-trials", 5, "restart A/B trials (median is reported)")
 		clusterArg = flag.String("cluster", "", `replica-scaling sweep: comma-separated fleet sizes (e.g. "1,2,4"); each point runs the closed-loop workload through a router over that many budget-capped in-process replicas; replaces the closed-loop passes`)
 		clusterRPS = flag.Float64("replica-budget", 150, "per-replica serve budget (req/s) for -cluster points — the fixed-node capacity model")
 		clusterMdl = flag.Int("cluster-models", 12, "distinct models trained per -cluster point so primaries spread over the fleet")
-		admitConc  = flag.Int("admit-concurrency", runtime.NumCPU(), "admission slots for the in-process saturation server (0 disables load shedding)")
-		admitQueue = flag.Int("admit-queue", service.DefaultAdmissionQueue, "admission waiting-queue bound for the in-process saturation server")
 		out        = flag.String("out", "", "write the JSON report here (always printed to stdout)")
 		perfDir    = flag.String("perf-dir", "", "also append this run as a perf history record (same schema as mlaas-perf run) into this directory, e.g. perf/results")
 		perfLabel  = flag.String("perf-label", "loadgen", "label stamped on the perf history record")
@@ -190,15 +159,7 @@ func main() {
 	// fit-once telemetry never mix, and a pass's exported traces contain
 	// both sides of each request stitch.
 	var passRegs []*telemetry.Registry
-	if *restart {
-		// Restart A/B: cold (refit on first predict) vs warm (cache warmed
-		// from MLMF artifacts at boot, first predict is a forward pass).
-		res, err := runRestart(*platform, cfg, sp, *seed, *batch, *restartN, codec)
-		if err != nil {
-			log.Fatalf("loadgen: restart A/B: %v", err)
-		}
-		rep.Restart = res
-	} else if *clusterArg != "" {
+	if *clusterArg != "" {
 		// Replica-scaling sweep: the same workload through a router over
 		// growing fleets of budget-capped replicas. Clients auto-scale with
 		// the largest fleet so every replica's pacer stays saturated.
@@ -222,31 +183,6 @@ func main() {
 		}
 		rep.Cluster = cl
 		rep.Clients = cclients
-	} else if *saturate != "" {
-		// Open-loop saturation sweep: offered load is fixed per point,
-		// goodput and sheds are measured. In-process mode runs the server
-		// with admission control on so goodput stays flat past the knee.
-		reg := telemetry.NewRegistry()
-		target := *url
-		if target == "" {
-			srv := httptest.NewServer(service.NewServer(func(string, ...any) {}).
-				WithRegistry(reg).
-				WithModelCache(*cache).
-				WithPredictShards(*shards).
-				WithAdmission(*admitConc, *admitQueue).
-				Handler())
-			defer srv.Close()
-			target = srv.URL
-		}
-		err := profiledPass(*profDir, "saturation", reg, captureWindow(*satDur), func() error {
-			sat, err := runSaturation(target, *platform, cfg, sp, *seed, *clients, *batch, codec, *saturate, *satDur, reg)
-			rep.Saturation = sat
-			return err
-		})
-		if err != nil {
-			log.Fatalf("loadgen: saturation sweep: %v", err)
-		}
-		passRegs = append(passRegs, reg)
 	} else if *url != "" {
 		reg := telemetry.NewRegistry()
 		err := profiledPass(*profDir, "pass-remote", reg, captureWindow(*duration), func() error {
@@ -293,11 +229,7 @@ func main() {
 	}
 	if *telSummary {
 		for i, reg := range passRegs {
-			name := "saturation"
-			if i < len(rep.Passes) {
-				name = rep.Passes[i].Name
-			}
-			fmt.Fprintf(os.Stderr, "--- %s pass telemetry ---\n", name)
+			fmt.Fprintf(os.Stderr, "--- %s pass telemetry ---\n", rep.Passes[i].Name)
 			telemetry.WriteSummary(os.Stderr, reg)
 		}
 	}
@@ -391,39 +323,6 @@ func perfRecord(rep Report, label string) *perf.Record {
 		r.Finalize()
 		return r
 	}
-	if s := rep.Saturation; s != nil {
-		rec.Notes = fmt.Sprintf("open-loop saturation sweep: %s %s, batch %d, codec %s",
-			rep.Platform, rep.Config, rep.Batch, rep.Codec)
-		rec.Results = append(rec.Results,
-			one("loadgen/saturation/knee", "req/s", s.KneeRPS),
-			one("loadgen/saturation/peak_goodput", "req/s", s.PeakGoodputRPS),
-			one("loadgen/saturation/goodput_at_2x_knee", "req/s", s.GoodputAt2xKneeRPS),
-		)
-		// Sweep-wide failure accounting: the 503 shed total (admission
-		// control doing its job) plus every non-shed error bucketed by
-		// status, so a record shows *how* a point failed, not just that it
-		// did. Lower is better for all of these ("count" has no "/s").
-		shed, errTotal := 0, 0
-		byStatus := map[string]int{}
-		for _, p := range s.Points {
-			shed += p.Shed
-			errTotal += p.Errors
-			for k, v := range p.ErrorsByStatus {
-				byStatus[k] += v
-			}
-		}
-		rec.Results = append(rec.Results,
-			one("loadgen/saturation/shed_503", "count", float64(shed)),
-			one("loadgen/saturation/errors", "count", float64(errTotal)),
-		)
-		for _, k := range sortedStatusKeys(byStatus) {
-			if k == "503" {
-				continue // already the shed_503 series
-			}
-			rec.Results = append(rec.Results,
-				one("loadgen/saturation/errors_"+k, "count", float64(byStatus[k])))
-		}
-	}
 	if cl := rep.Cluster; cl != nil {
 		rec.Notes = fmt.Sprintf("cluster scaling sweep: %s %s, %d models, %d clients, %.0f req/s per replica, codec %s",
 			rep.Platform, rep.Config, cl.Models, cl.Clients, cl.ReplicaBudgetRPS, rep.Codec)
@@ -440,27 +339,7 @@ func perfRecord(rep Report, label string) *perf.Record {
 			}
 		}
 	}
-	if r := rep.Restart; r != nil {
-		rec.Notes = fmt.Sprintf("restart A/B: %s %s, %d trials, batch %d",
-			rep.Platform, rep.Config, r.Trials, rep.Batch)
-		rec.Results = append(rec.Results,
-			one("loadgen/restart/cold_to_predict", "mean_ms", r.ColdMs),
-			one("loadgen/restart/warm_to_predict", "mean_ms", r.WarmMs),
-			one("loadgen/restart/warm_load", "mean_ms", r.WarmLoadMs),
-		)
-	}
 	return rec
-}
-
-// sortedStatusKeys orders an ErrorsByStatus breakdown for stable perf
-// series emission ("network" sorts after numeric codes naturally).
-func sortedStatusKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // exportTraces writes every pass's retained traces to one JSONL file, each
@@ -471,16 +350,12 @@ func exportTraces(path string, passes []PassReport, regs []*telemetry.Registry) 
 		return err
 	}
 	for i, reg := range regs {
-		name := "saturation"
-		if i < len(passes) {
-			name = passes[i].Name
-		}
 		traces := reg.Traces().Snapshot()
 		for j := range traces {
 			if traces[j].Root.Attrs == nil {
 				traces[j].Root.Attrs = map[string]string{}
 			}
-			traces[j].Root.Attrs["pass"] = name
+			traces[j].Root.Attrs["pass"] = passes[i].Name
 		}
 		if err := telemetry.WriteTraceJSONL(f, traces); err != nil {
 			_ = f.Close()
@@ -505,14 +380,6 @@ func runPass(name, url, platform string, cfg pipeline.Config, sp dataset.Split, 
 	if err != nil {
 		return PassReport{}, fmt.Errorf("train: %w", err)
 	}
-	// Kernel timings land in this pass's registry for the duration of the
-	// pass: the in-process server shares the process, so its GEMM/distance
-	// kernels are observable per pass without touching the Default registry.
-	// Passes run sequentially, so the process-wide hook swap is safe.
-	linalg.SetKernelHook(func(kernel string, seconds float64) {
-		reg.Histogram(telemetry.KernelHistogram, "kernel", kernel).Observe(seconds)
-	})
-	defer linalg.SetKernelHook(nil)
 	// One warm-up predict per pass keeps connection setup and (for the
 	// forward arm) the initial fit out of the measured window.
 	instances := tileInstances(sp.Test.X, batch)
@@ -626,13 +493,6 @@ func printSummary(rep Report) {
 	if rep.SpeedupRPS > 0 {
 		fmt.Printf("  forward vs refit speedup: %.1fx req/s\n", rep.SpeedupRPS)
 	}
-	if r := rep.Restart; r != nil {
-		fmt.Printf("  restart-to-first-predict over %d trials (median):\n", r.Trials)
-		fmt.Printf("    cold %8.2fms  (%d fits)\n", r.ColdMs, r.ColdFits)
-		fmt.Printf("    warm %8.2fms  (%d fits, %d models warmed in %.2fms)\n",
-			r.WarmMs, r.WarmFits, r.WarmedModels, r.WarmLoadMs)
-		fmt.Printf("    warm restart speedup: %.1fx\n", r.SpeedupX)
-	}
 	if cl := rep.Cluster; cl != nil {
 		fmt.Printf("  cluster scaling (%d models, %d clients, %.0f req/s per replica):\n",
 			cl.Models, cl.Clients, cl.ReplicaBudgetRPS)
@@ -641,31 +501,4 @@ func printSummary(rep Report) {
 				pt.Replicas, pt.Requests, pt.Errors, pt.DurationSec, pt.GoodputRPS, pt.P95Ms, pt.ScaleX)
 		}
 	}
-	if s := rep.Saturation; s != nil {
-		if s.CapacityRPS > 0 {
-			fmt.Printf("  closed-loop capacity: %.1f req/s\n", s.CapacityRPS)
-		}
-		for _, pt := range s.Points {
-			breakdown := ""
-			if len(pt.ErrorsByStatus) > 0 {
-				parts := make([]string, 0, len(pt.ErrorsByStatus))
-				for _, k := range sortedStatusKeys(pt.ErrorsByStatus) {
-					parts = append(parts, fmt.Sprintf("%s:%d", k, pt.ErrorsByStatus[k]))
-				}
-				breakdown = "  [" + strings.Join(parts, " ") + "]"
-			}
-			fmt.Printf("  offered %8.1f req/s  goodput %8.1f req/s  shed %8.1f req/s (%d)  dropped %d  errs %d  p95 %.2fms%s\n",
-				pt.OfferedRPS, pt.GoodputRPS, pt.ShedRPS, pt.Shed, pt.Dropped, pt.Errors, pt.P95Ms, breakdown)
-		}
-		fmt.Printf("  knee %.1f req/s, peak goodput %.1f req/s, goodput at 2x knee %.1f req/s (%.0f%% of peak)\n",
-			s.KneeRPS, s.PeakGoodputRPS, s.GoodputAt2xKneeRPS, 100*safeRatio(s.GoodputAt2xKneeRPS, s.PeakGoodputRPS))
-	}
-}
-
-// safeRatio is a/b guarding the b==0 edge.
-func safeRatio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

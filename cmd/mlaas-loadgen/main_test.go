@@ -104,43 +104,3 @@ func TestPassTelemetryIsolation(t *testing.T) {
 		t.Errorf("export lacks a pass: %v", seenPass)
 	}
 }
-
-// TestPerfRecordSaturationBreakdown checks that -perf-dir records from a
-// saturation run carry the 503 shed total and the per-status client error
-// breakdown, aggregated across the sweep's points, with the 503 bucket
-// folded into the shed series instead of double-reported.
-func TestPerfRecordSaturationBreakdown(t *testing.T) {
-	rep := Report{
-		Platform: "local", Config: "logreg", Batch: 16, Codec: "json",
-		Saturation: &SaturationReport{
-			KneeRPS: 100, PeakGoodputRPS: 100, GoodputAt2xKneeRPS: 95,
-			Points: []SaturationPoint{
-				{OfferedRPS: 100, Good: 50, Shed: 3, Errors: 2,
-					ErrorsByStatus: map[string]int{"503": 3, "500": 1, "network": 1}},
-				{OfferedRPS: 200, Good: 50, Shed: 7, Errors: 1,
-					ErrorsByStatus: map[string]int{"503": 7, "500": 1}},
-			},
-		},
-	}
-	rec := perfRecord(rep, "sat-test")
-	got := map[string]float64{}
-	for _, r := range rec.Results {
-		if len(r.Runs) == 1 {
-			got[r.Name] = r.Runs[0]
-		}
-		if r.Name == "loadgen/saturation/errors_503" {
-			t.Error("503s must land in shed_503, not an errors_503 series")
-		}
-	}
-	want := map[string]float64{
-		"loadgen/saturation/shed_503":       10,
-		"loadgen/saturation/errors":         3,
-		"loadgen/saturation/errors_500":     2,
-		"loadgen/saturation/errors_network": 1,
-	}
-	for name, v := range want {
-		if got[name] != v {
-			t.Errorf("%s = %v, want %v", name, got[name], v)
-		}
-	}
-}

@@ -91,7 +91,6 @@ import (
 	"os/signal"
 	"time"
 
-	"mlaasbench/internal/linalg"
 	"mlaasbench/internal/profiling"
 	"mlaasbench/internal/service"
 	"mlaasbench/internal/store"
@@ -152,11 +151,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("mlaas-server: %v", err)
 	}
-	// Kernel durations feed the same registry /metrics scrapes, so GEMM
-	// and distance time per predict shows up next to the stage histograms.
-	linalg.SetKernelHook(func(kernel string, seconds float64) {
-		telemetry.Default().Histogram(telemetry.KernelHistogram, "kernel", kernel).Observe(seconds)
-	})
 	// Build identity and runtime health ride the same /metrics exposition:
 	// mlaas_build_info pins which binary produced a scrape, the sampler
 	// keeps goroutine/heap/GC-pause series current between requests.

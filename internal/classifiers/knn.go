@@ -146,7 +146,6 @@ func (k *KNN) predictEuclidean(x [][]float64, out []int, kk int, distWeighted bo
 		for i := range heaps {
 			heaps[i].reset()
 		}
-		start := linalg.KernelStart()
 		for lo, hi, step := 0, 0, knnFirstTile; lo < n; lo, step = hi, min(2*step, knnTile) {
 			hi = min(lo+step, n)
 			pairs, alive := 0, 0
@@ -174,7 +173,6 @@ func (k *KNN) predictEuclidean(x [][]float64, out []int, kk int, distWeighted bo
 				first += knnCheckpoint
 			}
 		}
-		linalg.KernelEnd(linalg.KernelDistance, start)
 		for qi := range heaps {
 			out[q0+qi] = heaps[qi].vote(k.y, distWeighted)
 		}

@@ -295,16 +295,6 @@ func IsRetryable(err error) bool {
 	return err != nil
 }
 
-// StatusCode extracts the HTTP status from an API error (0 for transport
-// or non-API errors). Load generators use it to split admission sheds
-// (503) from real failures.
-func StatusCode(err error) int {
-	if ae, ok := err.(*apiErr); ok {
-		return ae.Status
-	}
-	return 0
-}
-
 // do executes one JSON request through doRaw: marshal the body, decode the
 // response into out.
 func (c *Client) do(ctx context.Context, op, method, path string, body, out any) error {

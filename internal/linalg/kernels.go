@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"sync/atomic"
-	"time"
-)
+import "fmt"
 
 // This file is the batch-kernel layer: blocked matrix multiply (MulInto,
 // MulTransBInto, MulVecInto), batched pairwise distances
@@ -40,54 +36,6 @@ const (
 // 5.7 / 5.2 / 5.1 ms.
 const pruneStep = 8
 
-// Kernel names reported to the kernel-timing hook (see SetKernelHook).
-const (
-	KernelGEMM     = "gemm"     // MulInto
-	KernelGEMMNT   = "gemm_nt"  // MulTransBInto (B transposed, dot form)
-	KernelGEMV     = "gemv"     // MulVecInto
-	KernelDistance = "distance" // SquaredEuclideanBatch; a kNN query block over SquaredEuclideanPruned
-)
-
-// KernelFunc observes one batch-kernel invocation's wall-clock duration.
-type KernelFunc func(kernel string, seconds float64)
-
-var kernelHook atomic.Pointer[KernelFunc]
-
-// SetKernelHook installs (or with nil removes) the process-wide observer
-// called after every batch-kernel invocation — the bridge that lands kernel
-// time in a telemetry registry without this package importing one. The hook
-// must be safe for concurrent use; installation is atomic, so it can be
-// swapped between benchmark passes.
-func SetKernelHook(f KernelFunc) {
-	if f == nil {
-		kernelHook.Store(nil)
-		return
-	}
-	kernelHook.Store(&f)
-}
-
-// KernelStart returns the start time when a hook is installed, else zero.
-// The zero check in KernelEnd keeps un-hooked kernels at one atomic load.
-// The pair is exported for a caller that drives a tile kernel itself and
-// owes the hook one observation per batch, not one per tile (kNN's query
-// block over SquaredEuclideanPruned).
-func KernelStart() time.Time {
-	if kernelHook.Load() == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// KernelEnd reports the time since start to the installed hook.
-func KernelEnd(kernel string, start time.Time) {
-	if start.IsZero() {
-		return
-	}
-	if h := kernelHook.Load(); h != nil {
-		(*h)(kernel, time.Since(start).Seconds())
-	}
-}
-
 // MulInto computes dst = a·b with j/k blocking, reusing dst's backing array
 // (dst is zeroed first). dst must be pre-shaped a.Rows×b.Cols and must not
 // alias a or b. Each output element accumulates its products in ascending-k
@@ -102,7 +50,6 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("linalg: MulInto dst %dx%d for %dx%d product", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	start := KernelStart()
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
@@ -127,7 +74,6 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	KernelEnd(KernelGEMM, start)
 	return dst
 }
 
@@ -149,7 +95,6 @@ func MulTransBInto(dst, a, b *Matrix) *Matrix {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: MulTransBInto dst %dx%d for %dx%d product", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	start := KernelStart()
 	w := b.Cols
 	for jj := 0; jj < b.Rows; jj += gemmRBlock {
 		jMax := min(jj+gemmRBlock, b.Rows)
@@ -182,7 +127,6 @@ func MulTransBInto(dst, a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	KernelEnd(KernelGEMMNT, start)
 	return dst
 }
 
@@ -196,7 +140,6 @@ func MulVecInto(dst []float64, m *Matrix, v []float64) []float64 {
 	if len(dst) != m.Rows {
 		panic("linalg: MulVecInto dst length mismatch")
 	}
-	start := KernelStart()
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		row = row[:len(v)]
@@ -206,7 +149,6 @@ func MulVecInto(dst []float64, m *Matrix, v []float64) []float64 {
 		}
 		dst[i] = s
 	}
-	KernelEnd(KernelGEMV, start)
 	return dst
 }
 
@@ -284,7 +226,6 @@ func SquaredEuclideanBatch(dst []float64, qs [][]float64, x *Matrix) {
 			panic(fmt.Sprintf("linalg: SquaredEuclideanBatch query %d has %d features, matrix has %d", qi, len(q), w))
 		}
 	}
-	start := KernelStart()
 	for xx := 0; xx < n; xx += distRBlock {
 		xMax := min(xx+distRBlock, n)
 		for qi, q := range qs {
@@ -334,7 +275,6 @@ func SquaredEuclideanBatch(dst []float64, qs [][]float64, x *Matrix) {
 			}
 		}
 	}
-	KernelEnd(KernelDistance, start)
 }
 
 // SquaredEuclideanPruned is the early-abandon form of the distance kernel

@@ -315,35 +315,3 @@ func assertPanics(t *testing.T, what string, f func()) {
 	}()
 	f()
 }
-
-// TestKernelHook verifies installed hooks observe every kernel family and
-// that removal stops observation.
-func TestKernelHook(t *testing.T) {
-	seen := map[string]int{}
-	SetKernelHook(func(kernel string, seconds float64) {
-		if seconds < 0 {
-			t.Errorf("negative duration for %s", kernel)
-		}
-		seen[kernel]++
-	})
-	defer SetKernelHook(nil)
-
-	a := NewMatrix(2, 2)
-	MulInto(NewMatrix(2, 2), a, a)
-	MulTransBInto(NewMatrix(2, 2), a, a)
-	MulVecInto(make([]float64, 2), a, make([]float64, 2))
-	SquaredEuclideanBatch(make([]float64, 2), [][]float64{{0, 0}}, a)
-	// A tile kernel reports nothing itself: its caller brackets a batch of
-	// tile calls with KernelStart/KernelEnd.
-	SquaredEuclideanPruned(make([]float64, 2), make([]int, 2), []float64{0, 0}, a, 0, 2, 1, 8)
-	for _, k := range []string{KernelGEMM, KernelGEMMNT, KernelGEMV, KernelDistance} {
-		if seen[k] != 1 {
-			t.Fatalf("kernel %s observed %d times, want 1", k, seen[k])
-		}
-	}
-	SetKernelHook(nil)
-	MulInto(NewMatrix(2, 2), a, a)
-	if seen[KernelGEMM] != 1 {
-		t.Fatalf("hook still firing after removal")
-	}
-}

@@ -21,8 +21,8 @@ const DefaultAdmissionQueue = 64
 // without bound, every request eventually times out, and goodput
 // collapses. Shedding the excess instead keeps the admitted requests fast,
 // so goodput stays pinned at capacity no matter how much load is offered —
-// the saturation sweep in mlaas-loadgen plots exactly this (flat goodput
-// at 2x the knee instead of collapse).
+// the open-loop sweep recorded in BENCH_PR7_SATURATION.json measured
+// exactly this (flat goodput at 2x the knee instead of collapse).
 type admission struct {
 	route   string
 	reg     func() *telemetry.Registry

@@ -259,7 +259,6 @@ func (s *Server) describeMetrics() {
 	s.reg.Describe(telemetry.ModelCacheCoalesced, "Requests that waited on an identical in-flight fit.")
 	s.reg.Describe(telemetry.PredictPathHistogram, "Predict latency split by serving path (forward vs refit).")
 	s.reg.Describe(telemetry.PredictBatchSizeHistogram, "Instances per predict request (rows, power-of-two buckets).")
-	s.reg.Describe(telemetry.KernelHistogram, "Batch linalg kernel duration by kernel (gemm, gemm_nt, gemv, distance).")
 	s.reg.Describe(telemetry.CodecRequestsTotal, "Predict requests by wire codec (json or binary).")
 	s.reg.Describe(telemetry.WireFrameBytesHistogram, "Binary frame sizes in bytes, by direction (rx or tx).")
 	s.reg.Describe(telemetry.AdmissionAdmittedTotal, "Requests admitted past the admission queue, by route.")

@@ -40,12 +40,6 @@ const (
 	// power-of-two count buckets (BatchSizeBuckets).
 	PredictBatchSizeHistogram = "mlaas_predict_batch_size"
 
-	// KernelHistogram records the wall-clock duration of one batch linalg
-	// kernel invocation, labeled kernel="gemm"|"gemm_nt"|"gemv"|"distance".
-	// Fed by linalg.SetKernelHook — installed by the server and bench/loadgen
-	// mains, so library users pay nothing unless they opt in.
-	KernelHistogram = "mlaas_kernel_gemm_duration_seconds"
-
 	// Traces* count flight-recorder admissions: kept (labeled by reason:
 	// "error", "slowest", "sampled"), dropped (sampled out), and evicted
 	// (pushed out of the ring FIFO by a newer trace).
@@ -144,7 +138,6 @@ func init() {
 	Default().Describe(ModelCacheCoalesced, "Requests that waited on an identical in-flight fit.")
 	Default().Describe(PredictPathHistogram, "Predict latency split by serving path (forward vs refit).")
 	Default().Describe(PredictBatchSizeHistogram, "Instances per predict request (rows, power-of-two buckets).")
-	Default().Describe(KernelHistogram, "Batch linalg kernel duration by kernel (gemm, gemm_nt, gemv, distance).")
 	Default().Describe(TracesKeptTotal, "Traces admitted to the flight recorder, by keep reason.")
 	Default().Describe(TracesDroppedTotal, "Traces rejected by tail sampling.")
 	Default().Describe(TracesEvictedTotal, "Kept traces evicted FIFO by ring overflow.")

@@ -70,7 +70,6 @@ var FamilyBuckets = map[string][]float64{
 	PredictPathHistogram:      FineBuckets,
 	PredictBatchSizeHistogram: BatchSizeBuckets,
 	WireFrameBytesHistogram:   FrameBytesBuckets,
-	KernelHistogram:           FineBuckets,
 	GCPauseHistogram:          FineBuckets,
 	SchedLatencyHistogram:     FineBuckets,
 }
