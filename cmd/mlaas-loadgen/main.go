@@ -45,7 +45,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -94,9 +93,6 @@ type Report struct {
 	Passes     []PassReport `json:"passes"`
 	// SpeedupRPS is forward req/s over refit req/s (0 for remote runs).
 	SpeedupRPS float64 `json:"speedup_rps,omitempty"`
-	// Cluster is set by -cluster runs (goodput vs fleet size through the
-	// router, per-replica capacity fixed by -replica-budget).
-	Cluster *ClusterReport `json:"cluster,omitempty"`
 }
 
 func main() {
@@ -112,9 +108,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "training seed")
 		cache      = flag.Int("cache", service.DefaultModelCacheModels, "model-cache size for the forward pass (in-process mode)")
 		codecName  = flag.String("codec", "json", "predict body codec: json or binary (the internal/wire frame format)")
-		clusterArg = flag.String("cluster", "", `replica-scaling sweep: comma-separated fleet sizes (e.g. "1,2,4"); each point runs the closed-loop workload through a router over that many budget-capped in-process replicas; replaces the closed-loop passes`)
-		clusterRPS = flag.Float64("replica-budget", 150, "per-replica serve budget (req/s) for -cluster points — the fixed-node capacity model")
-		clusterMdl = flag.Int("cluster-models", 12, "distinct models trained per -cluster point so primaries spread over the fleet")
 		out        = flag.String("out", "", "write the JSON report here (always printed to stdout)")
 		perfDir    = flag.String("perf-dir", "", "also append this run as a perf history record (same schema as mlaas-perf run) into this directory, e.g. perf/results")
 		perfLabel  = flag.String("perf-label", "loadgen", "label stamped on the perf history record")
@@ -159,31 +152,7 @@ func main() {
 	// fit-once telemetry never mix, and a pass's exported traces contain
 	// both sides of each request stitch.
 	var passRegs []*telemetry.Registry
-	if *clusterArg != "" {
-		// Replica-scaling sweep: the same workload through a router over
-		// growing fleets of budget-capped replicas. Clients auto-scale with
-		// the largest fleet so every replica's pacer stays saturated.
-		counts, err := parseClusterCounts(*clusterArg)
-		if err != nil {
-			log.Fatalf("loadgen: -cluster: %v", err)
-		}
-		maxN := 0
-		for _, n := range counts {
-			if n > maxN {
-				maxN = n
-			}
-		}
-		cclients := *clients
-		if min := 4 * maxN; cclients < min {
-			cclients = min
-		}
-		cl, err := runCluster(counts, *clusterRPS, *platform, cfg, sp, *seed, cclients, *batch, *clusterMdl, *duration, codec)
-		if err != nil {
-			log.Fatalf("loadgen: cluster sweep: %v", err)
-		}
-		rep.Cluster = cl
-		rep.Clients = cclients
-	} else if *url != "" {
+	if *url != "" {
 		reg := telemetry.NewRegistry()
 		err := profiledPass(*profDir, "pass-remote", reg, captureWindow(*duration), func() error {
 			pass, err := runPass("remote", *url, *platform, cfg, sp, *seed, *clients, *batch, *duration, codec, reg)
@@ -317,27 +286,6 @@ func perfRecord(rep Report, label string) *perf.Record {
 	for _, p := range rep.Passes {
 		rec.Results = append(rec.Results,
 			perf.LoadgenResults("loadgen/"+p.Name, p.ReqPerSec, p.InstPerSec, p.MeanMs, p.P50Ms, p.P95Ms, p.P99Ms)...)
-	}
-	one := func(name, unit string, v float64) perf.Result {
-		r := perf.Result{Name: name, Unit: unit, Runs: []float64{v}, HigherIsBetter: perf.HigherBetterUnit(unit)}
-		r.Finalize()
-		return r
-	}
-	if cl := rep.Cluster; cl != nil {
-		rec.Notes = fmt.Sprintf("cluster scaling sweep: %s %s, %d models, %d clients, %.0f req/s per replica, codec %s",
-			rep.Platform, rep.Config, cl.Models, cl.Clients, cl.ReplicaBudgetRPS, rep.Codec)
-		for _, pt := range cl.Points {
-			suffix := strconv.Itoa(pt.Replicas)
-			rec.Results = append(rec.Results,
-				one("loadgen/cluster/goodput_"+suffix, "req/s", pt.GoodputRPS))
-			if pt.Replicas > 1 {
-				// "x" is a ratio, not a latency: mark the direction manually.
-				r := perf.Result{Name: "loadgen/cluster/scale_" + suffix, Unit: "x",
-					Runs: []float64{pt.ScaleX}, HigherIsBetter: true}
-				r.Finalize()
-				rec.Results = append(rec.Results, r)
-			}
-		}
 	}
 	return rec
 }
@@ -492,13 +440,5 @@ func printSummary(rep Report) {
 	}
 	if rep.SpeedupRPS > 0 {
 		fmt.Printf("  forward vs refit speedup: %.1fx req/s\n", rep.SpeedupRPS)
-	}
-	if cl := rep.Cluster; cl != nil {
-		fmt.Printf("  cluster scaling (%d models, %d clients, %.0f req/s per replica):\n",
-			cl.Models, cl.Clients, cl.ReplicaBudgetRPS)
-		for _, pt := range cl.Points {
-			fmt.Printf("    %d replica(s): %6d reqs (%d errs) in %5.2fs  goodput %8.1f req/s  p95 %6.2fms  scale %.2fx\n",
-				pt.Replicas, pt.Requests, pt.Errors, pt.DurationSec, pt.GoodputRPS, pt.P95Ms, pt.ScaleX)
-		}
 	}
 }

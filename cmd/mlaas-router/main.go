@@ -19,8 +19,8 @@
 // them lazily on first need.
 //
 // The router's own /metrics exposes mlaas_router_requests_total
-// {replica,outcome}, per-replica in-flight gauges, replica state-change
-// (ring rebalance) counters, failover and repair counters. /healthz
+// {replica,outcome}, replica state-change (ring rebalance) counters,
+// failover and repair counters. /healthz
 // reports fleet state: one entry per replica with up/ready/breaker
 // status, plus the available-replica count.
 //

@@ -4,7 +4,7 @@
 //
 //	mlaas-server [-addr :8080] [-quiet] [-pprof 127.0.0.1:6060] [-model-cache 128]
 //	             [-predict-shards 0] [-admit-concurrency 0] [-admit-queue 64]
-//	             [-store-dir artifacts/] [-serve-budget 0] [-log-format text|json]
+//	             [-store-dir artifacts/] [-log-format text|json]
 //	             [-log-level debug|info|warn|error] [-slow-request 250ms]
 //	             [-health-interval 5s]
 //	             [-profile-dir profiles/] [-profile-interval 1m] [-profile-cpu 1s]
@@ -117,8 +117,6 @@ func main() {
 		"max predict requests waiting for an execution slot before load shedding starts")
 	storeDir := flag.String("store-dir", "",
 		"directory for durable MLMF model artifacts; fitted models persist there, evictions demote to disk, and the cache warms from it at boot (empty disables); replicas of one cluster share a directory so joiners warm from the fleet's artifacts")
-	serveBudget := flag.Float64("serve-budget", 0,
-		"cap the predict route at this many requests per second, modelling a fixed-size serving node for cluster scaling runs (0 = uncapped)")
 	profileDir := flag.String("profile-dir", "",
 		"directory for continuous-profiler bundles (CPU/heap/mutex/block/goroutine + sidecar); served at /debug/profiles; read with go tool pprof -top <bundle>/cpu.pprof, or remotely after curl <addr>/debug/profiles/<bundle>/cpu -o cpu.pprof (empty disables)")
 	profileInterval := flag.Duration("profile-interval", time.Minute,
@@ -163,7 +161,6 @@ func main() {
 		WithModelCache(*modelCache).
 		WithPredictShards(*predictShards).
 		WithAdmission(*admitConcurrency, *admitQueue).
-		WithServeBudget(*serveBudget).
 		WithLogger(logger).
 		WithSlowRequestThreshold(*slowReq)
 	if *storeDir != "" {

@@ -141,7 +141,6 @@ func NewRouter(replicaURLs []string, opts ...Option) (*Router, error) {
 
 func (rt *Router) describeMetrics() {
 	rt.reg.Describe(telemetry.RouterRequestsTotal, "Requests proxied by the cluster router, by replica and outcome.")
-	rt.reg.Describe(telemetry.RouterReplicaInFlight, "Requests a replica is serving through the router right now.")
 	rt.reg.Describe(telemetry.RouterReplicaStateChangesTotal, "Replica routable-state transitions (ring rebalance events), by replica and state.")
 	rt.reg.Describe(telemetry.RouterFailoversTotal, "Proxy attempts that failed over to another ring owner, by route.")
 	rt.reg.Describe(telemetry.RouterRepairsTotal, "Datasets/models lazily re-provisioned onto an owner that was missing them, by kind.")
@@ -317,13 +316,8 @@ func (rt *Router) proxy(r *http.Request, rs *replicaState, method, path, content
 	req.Header.Set(telemetry.RequestIDHeader, r.Header.Get(telemetry.RequestIDHeader))
 	req.Header.Set(telemetry.TraceParentHeader, r.Header.Get(telemetry.TraceParentHeader))
 
-	inFlight := rt.reg.Gauge(telemetry.RouterReplicaInFlight, "replica", rs.name)
-	inFlight.Inc()
 	rs.inFlight.Add(1)
-	defer func() {
-		inFlight.Dec()
-		rs.inFlight.Add(-1)
-	}()
+	defer rs.inFlight.Add(-1)
 
 	resp, err := rt.httpc.Do(req)
 	if err != nil {

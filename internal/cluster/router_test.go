@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -289,6 +291,84 @@ func TestRouterExcludesNotReadyReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitAvailable(t, front.URL, 2) // readiness flip admits it
+}
+
+// TestRouterPredictPrefersIdleOwner checks the least-loaded order over a
+// model's owners: while one owner is still serving predict A, predict B
+// for the same model must go to the other, idle owner. Each replica's
+// first predict reports its replica index and then holds until the gate
+// opens, so "A in flight" is a fact of the test, not a timing guess.
+func TestRouterPredictPrefersIdleOwner(t *testing.T) {
+	sp := clusterSplit(t)
+	ctx := context.Background()
+
+	reps, _ := newReplicas(t, 2)
+	gate := make(chan struct{})
+	started := make(chan int, len(reps))
+	for i, rep := range reps {
+		inner := rep.Config.Handler
+		var first atomic.Bool
+		rep.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/predictions") && first.CompareAndSwap(false, true) {
+				started <- i
+				<-gate
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	front, _ := newFront(t, reps, 2)
+	// Registered after the servers, so it runs before they close: a
+	// failed check must not leave a predict parked on the gate.
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+
+	c := client.New(front.URL)
+	dsID, err := c.Upload(ctx, "local", sp.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mID, err := c.Train(ctx, "local", dsID, pipeline.Config{Classifier: "logreg", Params: map[string]any{}}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predict := func() <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := client.New(front.URL).Predict(ctx, "local", mID, sp.Test.X[:2])
+			done <- err
+		}()
+		return done
+	}
+
+	doneA := predict()
+	var a int
+	select {
+	case a = <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for predict A to reach a replica")
+	}
+	doneB := predict()
+	select {
+	case b := <-started:
+		if b == a {
+			t.Fatalf("predict B went to replica %d, which is still serving A", b)
+		}
+	case err := <-doneB:
+		t.Fatalf("predict B was served by replica %d, which is still serving A (err: %v)", a, err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for predict B to reach a replica")
+	}
+	release()
+	for name, done := range map[string]<-chan error{"A": doneA, "B": doneB} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("predict %s: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("predict %s did not finish after the gate opened", name)
+		}
+	}
 }
 
 // waitAvailable polls the router /healthz until it reports exactly n

@@ -100,7 +100,9 @@ func (r *RNG) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		// The conversions forbid a fused multiply-add, which would round
+		// once instead of twice and give other draws on arm64.
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"mlaasbench/internal/client"
 	"mlaasbench/internal/pipeline"
@@ -88,38 +87,5 @@ func TestColdBootReadinessFlip(t *testing.T) {
 	}
 	if h := healthz(t, coldSrv.URL); !h.Ready {
 		t.Fatal("server still not ready after warm scan completed")
-	}
-}
-
-// TestServeBudgetPacesPredicts checks the per-node capacity model: with
-// a serve budget of B req/s, N serial predicts cannot finish faster than
-// (N-1)/B — each request waits for its schedule slot. The pacer never
-// banks idle time into bursts, so the lower bound is hard.
-func TestServeBudgetPacesPredicts(t *testing.T) {
-	api := service.NewServer(func(string, ...any) {}).WithRegistry(telemetry.NewRegistry()).WithServeBudget(400)
-	srv := httptest.NewServer(api.Handler())
-	defer srv.Close()
-	sp := testSplit(t)
-	ctx := context.Background()
-	c := client.New(srv.URL)
-	dsID, err := c.Upload(ctx, "local", sp.Train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mID, err := c.Train(ctx, "local", dsID, pipeline.Config{Classifier: "logreg", Params: map[string]any{}}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 20
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := c.Predict(ctx, "local", mID, sp.Test.X[:4]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	floor := time.Duration(n-1) * (time.Second / 400)
-	if elapsed < floor {
-		t.Fatalf("%d predicts at 400 req/s budget took %s, paced floor is %s", n, elapsed, floor)
 	}
 }

@@ -72,9 +72,6 @@ type Server struct {
 	// admit, when non-nil, gates the predict route behind a bounded
 	// admission queue; excess load is shed with 503 + Retry-After.
 	admit *admission
-	// budget, when non-nil, paces the predict route to a fixed request
-	// rate — the per-node capacity model for cluster scaling runs.
-	budget *pacer
 	// notReady is set while the server cannot yet serve at full fidelity
 	// (boot warm scan still running); /healthz reports ready:false and
 	// cluster routers keep the replica out of rotation. Zero value =
@@ -237,7 +234,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/platforms/{platform}/surface", s.instrument("surface", s.handleSurface))
 	mux.HandleFunc("POST /v1/platforms/{platform}/datasets", s.instrument("upload", s.handleUpload))
 	mux.HandleFunc("POST /v1/platforms/{platform}/models", s.instrument("train", s.handleTrain))
-	mux.HandleFunc("POST /v1/platforms/{platform}/models/{model}/predictions", s.instrument("predict", s.admitted(s.paced(s.handlePredict))))
+	mux.HandleFunc("POST /v1/platforms/{platform}/models/{model}/predictions", s.instrument("predict", s.admitted(s.handlePredict)))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /debug/traces", s.handleTraceIndex)

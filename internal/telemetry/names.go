@@ -106,8 +106,7 @@ const (
 
 	// Router* instrument the cluster front end (internal/cluster): requests
 	// counts every proxied request by replica and outcome
-	// ("ok"|"client_error"|"error"), in-flight gauges the requests each
-	// replica is serving right now, state changes counts routable-state
+	// ("ok"|"client_error"|"error"), state changes counts routable-state
 	// transitions per replica ("up"|"warming"|"down") — each one is a ring
 	// rebalance event, since keys owned by a down replica fail over to the
 	// next owner — failovers counts attempts that moved to another owner
@@ -116,7 +115,6 @@ const (
 	// "dataset"|"model": late joiners and post-restart replicas heal on
 	// first touch).
 	RouterRequestsTotal            = "mlaas_router_requests_total"
-	RouterReplicaInFlight          = "mlaas_router_replica_in_flight"
 	RouterReplicaStateChangesTotal = "mlaas_router_replica_state_changes_total"
 	RouterFailoversTotal           = "mlaas_router_failovers_total"
 	RouterRepairsTotal             = "mlaas_router_repairs_total"
@@ -158,7 +156,6 @@ func init() {
 	Default().Describe(SLOBurnRateMilli, "Rolling-window SLO burn rate x1000, by SLO and dimension (latency or errors).")
 	Default().Describe(SLOBreachesTotal, "SLO breach transitions (healthy -> breached), by SLO name.")
 	Default().Describe(RouterRequestsTotal, "Requests proxied by the cluster router, by replica and outcome.")
-	Default().Describe(RouterReplicaInFlight, "Requests a replica is serving through the router right now.")
 	Default().Describe(RouterReplicaStateChangesTotal, "Replica routable-state transitions (ring rebalance events), by replica and state.")
 	Default().Describe(RouterFailoversTotal, "Proxy attempts that failed over to another ring owner, by route.")
 	Default().Describe(RouterRepairsTotal, "Datasets/models lazily re-provisioned onto an owner that was missing them, by kind.")
