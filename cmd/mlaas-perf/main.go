@@ -45,8 +45,8 @@ import (
 // Default suite: the committed kernel benchmarks. Fast enough to run
 // -count 5 in minutes; the 16s/op sweep benchmarks are opt-in via -bench.
 const (
-	defaultBench = "BenchmarkGEMM$|MLPForwardBatch|KNNPredictBatch|WireCodec|DatasetLoad|ModelDecodeMLMF"
-	defaultPkgs  = "./internal/linalg,./internal/classifiers,./internal/wire,./internal/store"
+	defaultBench = "BenchmarkGEMM$|MLPForwardBatch|KNNPredictBatch|WireCodec|DatasetLoad|ModelDecodeMLMF|RequestTelemetry|MetricLookup"
+	defaultPkgs  = "./internal/linalg,./internal/classifiers,./internal/wire,./internal/store,./internal/telemetry"
 )
 
 // Exit codes: 0 clean, 1 usage or I/O error, 2 regression detected.

@@ -190,6 +190,7 @@ func (rt *Router) Handler() http.Handler {
 // outbound context so proxied hops carry the router's span as parent —
 // the client→router→replica stitch.
 func (rt *Router) withSpan(route string, h http.HandlerFunc) http.HandlerFunc {
+	spanName := "router:" + route
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get(telemetry.RequestIDHeader)
 		if reqID == "" {
@@ -201,11 +202,12 @@ func (rt *Router) withSpan(route string, h http.HandlerFunc) http.HandlerFunc {
 		if tid, sid, ok := telemetry.ParseTraceParent(r.Header.Get(telemetry.TraceParentHeader)); ok {
 			ctx = telemetry.WithRemoteParent(ctx, tid, sid)
 		}
-		ctx, span := telemetry.StartSpan(ctx, "router:"+route)
+		ctx, span := telemetry.StartSpan(ctx, spanName)
 		span.SetAttr("route", route).SetAttr("request_id", reqID)
-		w.Header().Set(telemetry.TraceParentHeader, telemetry.FormatTraceParent(span.TraceID(), span.SpanID()))
+		traceparent := telemetry.FormatTraceParent(span.TraceID(), span.SpanID())
+		w.Header().Set(telemetry.TraceParentHeader, traceparent)
 		// The replica hop carries the router span as remote parent.
-		r.Header.Set(telemetry.TraceParentHeader, telemetry.FormatTraceParent(span.TraceID(), span.SpanID()))
+		r.Header.Set(telemetry.TraceParentHeader, traceparent)
 		r.Header.Set(telemetry.RequestIDHeader, reqID)
 		h(w, r.WithContext(ctx))
 		span.End()

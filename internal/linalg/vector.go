@@ -112,6 +112,14 @@ func MinkowskiDistance(a, b []float64, p float64) float64 {
 		return max
 	}
 	s := 0.0
+	if p == 1 {
+		// math.Pow(x, 1) is x for every x, so the Manhattan distance is the
+		// plain sum, bit for bit.
+		for i := range a {
+			s += math.Abs(a[i] - b[i])
+		}
+		return s
+	}
 	for i := range a {
 		s += math.Pow(math.Abs(a[i]-b[i]), p)
 	}

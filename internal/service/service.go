@@ -304,6 +304,7 @@ func codeClass(code int) string {
 // server span's own trace context so callers can look the trace up at
 // /debug/traces/{id}.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	spanName := "http:" + route
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get(telemetry.RequestIDHeader)
 		if reqID == "" {
@@ -315,7 +316,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		if tid, sid, ok := telemetry.ParseTraceParent(r.Header.Get(telemetry.TraceParentHeader)); ok {
 			ctx = telemetry.WithRemoteParent(ctx, tid, sid)
 		}
-		ctx, span := telemetry.StartSpan(ctx, "http:"+route)
+		ctx, span := telemetry.StartSpan(ctx, spanName)
 		span.SetAttr("route", route).SetAttr("request_id", reqID)
 		if p := r.PathValue("platform"); p != "" {
 			span.SetAttr("platform", p)
@@ -331,7 +332,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		h(sw, r)
 		dur := time.Since(start)
-		span.SetAttr("status", fmt.Sprintf("%d", sw.code))
+		span.SetAttr("status", strconv.Itoa(sw.code))
 		if sw.code >= 500 {
 			span.SetError(fmt.Errorf("http %d", sw.code))
 		}

@@ -3,12 +3,26 @@ package telemetry
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// isHex reports whether s is lowercase hex digits.
+func isHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // A finished root span must deliver its whole tree — ids, parent links,
 // attrs, error — to the registry's flight recorder.
@@ -192,10 +206,25 @@ func TestTraceParentRoundTrip(t *testing.T) {
 		"01-" + tid + "-" + sid + "-01", // wrong version
 		"00-" + strings.Repeat("0", 32) + "-" + sid + "-01", // all-zero trace id
 		"00-" + tid + "-" + sid,                             // missing flags
+		"00-" + tid + "-" + sid + "-",                       // empty flags
+		"00-" + tid + "-" + sid + "-1",                      // one flag digit
+		"00-" + tid + "-" + sid + "-zzzz",                   // flags not two hex digits
+		"00-" + tid + "-" + sid + "-zz",                     // flags not hex
+		"00-" + tid + "-" + sid + "-01-extra",               // trailing fields
 	} {
 		if _, _, ok := ParseTraceParent(bad); ok {
 			t.Fatalf("ParseTraceParent accepted %q", bad)
 		}
+		if n := testing.AllocsPerRun(10, func() { ParseTraceParent(bad) }); n != 0 {
+			t.Fatalf("rejecting %q allocated %v times", bad, n)
+		}
+	}
+	upper := " 00-" + strings.ToUpper(tid) + "-" + strings.ToUpper(sid) + "-0A "
+	if gotT, gotS, ok := ParseTraceParent(upper); !ok || gotT != tid || gotS != sid {
+		t.Fatalf("ParseTraceParent(%q) = %q %q %v, want the lowercased ids", upper, gotT, gotS, ok)
+	}
+	if n := testing.AllocsPerRun(10, func() { ParseTraceParent(upper) }); n > 2 {
+		t.Fatalf("accepting an uppercase header allocated %v times, want at most the two ids", n)
 	}
 }
 
@@ -300,6 +329,90 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 		if back[i].TraceID != out[i].TraceID || back[i].Root.Attrs["platform"] != "bigml" ||
 			len(back[i].Root.Children) != 1 {
 			t.Fatalf("trace %d mangled: %+v", i, back[i])
+		}
+	}
+}
+
+// Kept traces are built when read, while their spans may still be running
+// on other goroutines: children end (and set attributes and errors) on
+// their own goroutines around the root's End, and readers build the same
+// traces in a loop. Run under -race. Every read of one trace must return
+// the same bytes, because a trace is frozen when its root ends.
+func TestTraceLazyBuildRace(t *testing.T) {
+	reg := NewRegistry()
+	base := WithRegistry(context.Background(), reg)
+	buf := reg.Traces()
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	seen := make([]map[string]string, 3)
+	for r := range seen {
+		seen[r] = map[string]string{}
+		readers.Add(1)
+		go func(seen map[string]string) {
+			defer readers.Done()
+			check := func(td TraceData) {
+				b, err := json.Marshal(td)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if prev, ok := seen[td.TraceID]; ok && prev != string(b) {
+					t.Errorf("trace %s changed between reads:\n%s\n%s", td.TraceID, prev, b)
+				}
+				seen[td.TraceID] = string(b)
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, td := range buf.Snapshot() {
+					check(td)
+				}
+				for _, s := range buf.Summaries() {
+					if td, ok := buf.Get(s.TraceID); ok {
+						check(td)
+					}
+				}
+			}
+		}(seen[r])
+	}
+
+	const roots, children = 20, 8
+	for i := 0; i < roots; i++ {
+		ctx, root := StartSpan(base, "root")
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for c := 0; c < children; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				cctx, sp := StartSpan(ctx, "child")
+				<-start
+				sp.SetAttr("n", strconv.Itoa(c))
+				if c%3 == 0 {
+					sp.SetError(errors.New("child failed"))
+				}
+				_, g := StartSpan(cctx, "grandchild")
+				g.End()
+				sp.End()
+			}(c)
+		}
+		close(start)
+		root.SetAttr("i", strconv.Itoa(i))
+		root.End()
+		wg.Wait()
+	}
+	close(stop)
+	readers.Wait()
+
+	if n := buf.Len(); n != roots {
+		t.Fatalf("kept %d traces, want %d", n, roots)
+	}
+	for _, td := range buf.Snapshot() {
+		if td.Spans > 1+2*children || td.Spans < 1 {
+			t.Fatalf("trace %s records %d spans", td.TraceID, td.Spans)
 		}
 	}
 }
