@@ -176,6 +176,46 @@ func TestMetricKindCollisionPanics(t *testing.T) {
 	r.Gauge("x")
 }
 
+// A kind collision panics on a new series of the family too, not only on
+// an existing one.
+func TestMetricKindCollisionPanicsOnNewSeries(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x", "a", "1").Inc()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on kind collision")
+		}
+	}()
+	r.Histogram("x", "a", "2")
+}
+
+// The context StartSpan returns is its parent's in every other respect:
+// values, deadline and cancellation all reach through it.
+func TestSpanContextKeepsParent(t *testing.T) {
+	type key struct{}
+	parent, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
+	ctx, root := StartSpan(WithRegistry(parent, NewRegistry()), "root")
+	ctx, child := StartSpan(ctx, "child")
+	if SpanFrom(ctx) != child {
+		t.Fatal("SpanFrom does not return the innermost span")
+	}
+	if got := ctx.Value(key{}); got != "v" {
+		t.Fatalf("parent value = %v, want v", got)
+	}
+	if RequestID(ctx) != "" {
+		t.Fatal("request id appeared from nowhere")
+	}
+	derived, stop := context.WithCancel(ctx)
+	defer stop()
+	cancel()
+	<-derived.Done()
+	if ctx.Err() != context.Canceled {
+		t.Fatalf("span context err = %v, want canceled", ctx.Err())
+	}
+	child.End()
+	root.End()
+}
+
 func TestSpansNestAndRecord(t *testing.T) {
 	r := NewRegistry()
 	ctx := WithRegistry(context.Background(), r)
