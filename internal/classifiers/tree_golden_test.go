@@ -17,7 +17,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 
 // treeGoldenConfigs spans every knob the tree learners expose: bagging's
 // feature subsets and node threshold, the forest's leaf size, depth, random
-// splits and both resampling modes, dtree under both criteria, and boosted.
+// splits and both resampling modes, dtree under both criteria, boosted, and
+// the jungle at its defaults, at its narrowest width and at a deep, wide DAG
+// with many random thresholds per split.
 var treeGoldenConfigs = []struct {
 	name   string
 	params Params
@@ -36,6 +38,9 @@ var treeGoldenConfigs = []struct {
 	{"dtree", Params{}},
 	{"dtree", Params{"criterion": "entropy", "max_features": "sqrt", "node_threshold": 5}},
 	{"boosted", Params{"n_estimators": 8}},
+	{"jungle", Params{}},
+	{"jungle", Params{"n_dags": 3, "max_width": 2, "opt_steps": 1}},
+	{"jungle", Params{"n_dags": 4, "max_depth": 12, "opt_steps": 5, "max_width": 64}},
 }
 
 // treeGoldenData is a labelled matrix whose columns are drawn from a coarse
