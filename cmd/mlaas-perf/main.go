@@ -45,7 +45,7 @@ import (
 // Default suite: the committed kernel benchmarks. Fast enough to run
 // -count 5 in minutes; the 16s/op sweep benchmarks are opt-in via -bench.
 const (
-	defaultBench = "BenchmarkGEMM$|MLPForwardBatch|KNNPredictBatch|WireCodec|DatasetLoad|ModelDecodeMLMF|RequestTelemetry|MetricLookup"
+	defaultBench = "BenchmarkGEMM$|MLPForwardBatch|KNNPredictBatch|WireCodec|DatasetLoad|ModelDecodeMLMF|RequestTelemetry|MetricLookup|TreeFit"
 	defaultPkgs  = "./internal/linalg,./internal/classifiers,./internal/wire,./internal/store,./internal/telemetry"
 )
 
