@@ -66,8 +66,8 @@ func (b *Bagging) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Presort) e
 	mem := &treeMem{}
 	b.trees = make([]*treeNode, count)
 	for t := 0; t < count; t++ {
-		idx := bootstrapIndices(n, r)
-		b.trees[t] = growTreePresorted(pre, mem, x, target, idx, cfg, r, 0)
+		mem.boot = bootstrapIndices(mem.boot, n, r)
+		b.trees[t] = growTreePresorted(pre, mem, x, target, mem.boot, cfg, r, 0)
 	}
 	return nil
 }
@@ -117,13 +117,16 @@ func (f *RandomForest) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Preso
 	replicate := f.params.String("resampling", "bagging") == "replicate"
 	pre := p.of(x)
 	mem := &treeMem{}
+	var all []int
+	if replicate {
+		all = allIndices(n) // every tree sees the full data; diversity comes from feature sampling
+	}
 	f.trees = make([]*treeNode, count)
 	for t := 0; t < count; t++ {
-		var idx []int
-		if replicate {
-			idx = allIndices(n) // every tree sees the full data; diversity comes from feature sampling
-		} else {
-			idx = bootstrapIndices(n, r)
+		idx := all
+		if !replicate {
+			mem.boot = bootstrapIndices(mem.boot, n, r)
+			idx = mem.boot
 		}
 		f.trees[t] = growTreePresorted(pre, mem, x, target, idx, cfg, r, 0)
 	}
