@@ -16,8 +16,8 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	r.walk(func(f *family, labels []string, metric any) {
 		if f.name != lastFamily {
 			lastFamily = f.name
-			if f.help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
+			if help := f.help.Load(); help != nil && *help != "" {
+				fmt.Fprintf(w, "# HELP %s %s\n", f.name, *help)
 			}
 			fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind.promType())
 		}

@@ -252,7 +252,7 @@ type series struct {
 // family groups all series of one metric name.
 type family struct {
 	name    string
-	help    string
+	help    atomic.Pointer[string] // set by Describe at any time; read without a lock
 	kind    kind
 	buckets []float64 // histogram families only
 
@@ -295,7 +295,7 @@ func (r *Registry) Describe(name, help string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f := r.family(name); f != nil {
-		f.help = help
+		f.help.Store(&help)
 		return
 	}
 	if r.pendingHelp == nil {
@@ -387,7 +387,7 @@ func (r *Registry) addFamilyLocked(name string, k kind, buckets []float64) *fami
 	f := &family{name: name, kind: k, buckets: buckets}
 	f.series.Store(&[]*series{})
 	if help, ok := r.pendingHelp[name]; ok {
-		f.help = help
+		f.help.Store(&help)
 		delete(r.pendingHelp, name)
 	}
 	old := *r.families.Load()

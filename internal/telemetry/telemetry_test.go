@@ -106,6 +106,39 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// Describe may rename a family's help while another goroutine renders the
+// exposition (a scrape during start-up). Run under -race: the help text is
+// read without the registry lock, so it must be safe to read while it is
+// replaced, and every render shows one whole text.
+func TestDescribeDuringExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("requests_total", "route", "train").Inc()
+	helps := []string{"HTTP requests by route.", "Requests served, by route."}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			r.Describe("requests_total", helps[i%2])
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			var buf bytes.Buffer
+			r.WritePrometheus(&buf)
+			out := buf.String()
+			if strings.Contains(out, "# HELP") &&
+				!strings.Contains(out, "# HELP requests_total "+helps[0]+"\n") &&
+				!strings.Contains(out, "# HELP requests_total "+helps[1]+"\n") {
+				t.Errorf("exposition shows no whole help text:\n%s", out)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Describe("requests_total", "HTTP requests by route.")
