@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mlaasbench/internal/dataset"
+	"mlaasbench/internal/rng"
 )
 
 func TestCorpusSize(t *testing.T) {
@@ -204,6 +205,38 @@ func TestImbalanceApplied(t *testing.T) {
 	b := ds.ClassBalance()
 	if b < 0.1 || b > 0.3 {
 		t.Fatalf("balance %v, want ~0.2", b)
+	}
+}
+
+// A class with fewer than 4 samples cannot fill its floor; the other class
+// makes up the shortfall, so a 17-row dataset with 2 samples of one class
+// keeps 8 rows (both minority samples and 6 of the other), whichever class
+// is short.
+func TestRebalanceKeepsEightRows(t *testing.T) {
+	for _, c := range []struct {
+		pos    int
+		target float64
+	}{{2, 0.8}, {15, 0.2}} {
+		x := make([][]float64, 17)
+		y := make([]int, 17)
+		for i := range x {
+			x[i] = []float64{float64(i)}
+			if i < c.pos {
+				y[i] = 1
+			}
+		}
+		nx, ny := rebalance(x, y, c.target, rng.New(1))
+		pos := 0
+		for k, v := range ny {
+			pos += v
+			if i := int(nx[k][0]); y[i] != v {
+				t.Fatalf("%d positives: row %d relabeled", c.pos, i)
+			}
+		}
+		if want := min(c.pos, 17-c.pos); len(ny) != 8 || min(pos, len(ny)-pos) != want {
+			t.Fatalf("%d positives, target %v: kept %d rows, %d positive; want 8 rows, minority %d",
+				c.pos, c.target, len(ny), pos, want)
+		}
 	}
 }
 
