@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mlaasbench/internal/client"
 	"mlaasbench/internal/dataset"
@@ -122,6 +123,35 @@ func TestTrainRejectsUnknownParam(t *testing.T) {
 	cfg := pipeline.Config{Classifier: "logreg", Params: map[string]any{"gamma": 1.0}}
 	if _, err := c.Train(ctx, "amazon", dsID, cfg, 1); err == nil {
 		t.Fatal("unexposed parameter must be rejected")
+	}
+}
+
+// Split parameters below their declared minimum reach the fit unchecked;
+// the model must still train and serve, and a later train or predict of
+// the same key must not wait on a fit that never finished.
+func TestTrainBelowParamMinimumServes(t *testing.T) {
+	_, c := newTestServer(t)
+	sp := testSplit(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	dsID, err := c.Upload(ctx, "microsoft", sp.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []pipeline.Config{
+		{Classifier: "randomforest", Params: map[string]any{"random_splits": -1}},
+		{Classifier: "jungle", Params: map[string]any{"opt_steps": 0}},
+		{Classifier: "jungle", Params: map[string]any{"opt_steps": -1}},
+	} {
+		for round := 0; round < 2; round++ {
+			id, err := c.Train(ctx, "microsoft", dsID, cfg, 1)
+			if err != nil {
+				t.Fatalf("%v round %d: train: %v", cfg, round, err)
+			}
+			if _, err := c.Predict(ctx, "microsoft", id, sp.Test.X); err != nil {
+				t.Fatalf("%v round %d: predict: %v", cfg, round, err)
+			}
+		}
 	}
 }
 
