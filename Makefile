@@ -1,26 +1,27 @@
 # Standard pre-merge gate: `make check` runs gofmt and vet, the full test
-# suite, the race detector over the concurrency-bearing packages (telemetry, service,
-# client, wire, the parallel sweep engine in core/pipeline/platforms, and the
-# pooled predict scratch in classifiers), a
-# short loadgen smoke that exercises the serving path end-to-end, a wire
-# smoke (binary-vs-JSON equivalence over a live server + decoder fuzz seed
-# corpus), a perf-tracking smoke (mlaas-perf run/compare/report against
-# perf/results/), a profiling smoke (bundle capture, then go tool pprof
-# -top and -diff_base over the bundles, SLO watchdog tests under -race),
-# and a cluster smoke (binary predict through the router, kill-one-replica
-# failover, sharded-sweep-equals-serial, and a 2-replica scaling run), and a 3 s
-# end-to-end benchmark smoke (benchmarks/run.sh on serve_trees: every op
-# checked against the oracle), and last a stray-process check (no
-# mlaas-*, v-server, pprof or go test binary may outlive the gate).
+# suite (which includes TestPprofMux, the in-process check of the server's
+# -pprof listener, the only live profiling surface), the race detector over
+# the concurrency-bearing packages (telemetry, service, client, wire, store,
+# cluster, the parallel sweep engine in core/pipeline/platforms, and the
+# pooled predict scratch in classifiers), a one-iteration kernel-benchmark
+# smoke, a short loadgen smoke that exercises the serving path end-to-end, a
+# trace smoke, a wire smoke (binary-vs-JSON equivalence over a live server +
+# decoder fuzz seed corpus), a store smoke, a perf-tracking smoke
+# (mlaas-perf run/compare/report against perf/results/), a cluster smoke
+# (binary predict through the router, kill-one-replica failover,
+# sharded-sweep-equals-serial), a 3 s end-to-end benchmark smoke
+# (benchmarks/run.sh on serve_trees: every op checked against the oracle),
+# and last a stray-process check (no mlaas-*, v-server, pprof or go test
+# binary may outlive the gate).
 # CI (.github/workflows/ci.yml) and humans alike should run it before merging.
 
 GO ?= go
 
 RACE_PKGS := ./internal/telemetry ./internal/service ./internal/client \
 	./internal/wire ./internal/pipeline ./internal/platforms ./internal/store \
-	./internal/profiling ./internal/cluster
+	./internal/cluster
 
-.PHONY: all build fmt vet test race check bench bench-quick bench-kernels bench-e2e bench-e2e-smoke loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke no-strays perf-run perf-compare perf-report
+.PHONY: all build fmt vet test race check bench bench-quick bench-kernels bench-e2e bench-e2e-smoke loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke cluster-smoke no-strays perf-run perf-compare perf-report
 
 all: check
 
@@ -50,7 +51,7 @@ race:
 	$(GO) test -race -run 'TestParallel|TestSweepCancellation' ./internal/core
 	$(GO) test -race -run 'TestPredict|TestKNN|TestSquaredEuclidean|TestPresort' ./internal/classifiers ./internal/linalg
 
-check: fmt vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke profile-smoke cluster-smoke bench-e2e-smoke no-strays
+check: fmt vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke cluster-smoke bench-e2e-smoke no-strays
 
 # Fails if any server, router, load generator or benchmark binary, go tool
 # pprof, or go test binary (<pkg>.test -test.*) is still running — every
@@ -114,24 +115,6 @@ perf-smoke:
 		-no-save -out /tmp/mlaas-perf-smoke.json
 	$(GO) run ./cmd/mlaas-perf compare -candidate /tmp/mlaas-perf-smoke.json -report-only
 	$(GO) run ./cmd/mlaas-perf report >/dev/null
-
-# Continuous-profiling smoke: bundles captured during a loadgen pass are
-# read by the toolchain's own reader — the bundle list, a top-10 of the
-# latest CPU profile, and a first-vs-latest diff (at least two bundles) —
-# plus the SLO watchdog's window arithmetic and trigger path under the
-# race detector. (The full e2e — breach-triggered capture with trace refs,
-# hot-symbol diff through go tool pprof — runs in `make test` via
-# internal/profiling; this target proves the operator-facing loop.)
-profile-smoke:
-	rm -rf /tmp/mlaas-smoke-profiles
-	$(GO) run ./cmd/mlaas-loadgen -clients 2 -batch 32 -duration 1s \
-		-profile-dir /tmp/mlaas-smoke-profiles >/dev/null
-	ls /tmp/mlaas-smoke-profiles
-	d=/tmp/mlaas-smoke-profiles; first=$$(ls $$d | head -n 1); latest=$$(ls $$d | tail -n 1); \
-	test "$$first" != "$$latest" && \
-	$(GO) tool pprof -top -nodecount 10 $$d/$$latest/cpu.pprof && \
-	$(GO) tool pprof -top -nodecount 5 -diff_base $$d/$$first/cpu.pprof $$d/$$latest/cpu.pprof
-	$(GO) test -race -count=1 -run 'TestBurnWindow|TestWatchdog|TestSLOBreach' ./internal/profiling
 
 # Cluster-serving smoke: binary-codec predicts through the router must
 # match a single-process server byte-for-byte, every request must survive

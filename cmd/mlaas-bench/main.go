@@ -59,7 +59,6 @@ import (
 	"mlaasbench/internal/core"
 	"mlaasbench/internal/pipeline"
 	"mlaasbench/internal/platforms"
-	"mlaasbench/internal/profiling"
 	"mlaasbench/internal/synth"
 	"mlaasbench/internal/telemetry"
 )
@@ -87,23 +86,7 @@ func main() {
 		"comma-separated mlaas-server replica URLs: shard the sweep's (platform, dataset) units "+
 			"across the fleet by consistent hash instead of measuring in-process. Results are "+
 			"byte-identical to a local sweep at any replica count (modulo wall-clock micros).")
-	profileDir := flag.String("profile-dir", "",
-		"capture continuous-profiler bundles into this directory: periodic captures during the sweep plus one tagged end-of-run bundle (read with go tool pprof -top <dir>/<bundle>/cpu.pprof)")
-	profileInterval := flag.Duration("profile-interval", 30*time.Second, "period between periodic captures while the run is in flight")
 	flag.Parse()
-
-	// The profiler shares the default registry with everything above, so
-	// its sidecars link the slowest sweep traces and its counters land in
-	// the -telemetry summary.
-	var prof *profiling.Profiler
-	if *profileDir != "" {
-		var err error
-		prof, err = profiling.New(profiling.Config{Dir: *profileDir, Interval: *profileInterval})
-		if err != nil {
-			fatal(err)
-		}
-		prof.Start()
-	}
 
 	args := flag.Args()
 	if len(args) == 0 {
@@ -299,13 +282,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "traces written to %s\n", *traceOut)
-	}
-	if prof != nil {
-		if _, err := prof.CaptureNow("end-of-run", profiling.ReasonManual, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "mlaas-bench: end-of-run profile capture: %v\n", err)
-		}
-		prof.Stop()
-		fmt.Fprintf(os.Stderr, "profile bundles in %s (read with: go tool pprof -top %s/<bundle>/cpu.pprof)\n", *profileDir, *profileDir)
 	}
 }
 

@@ -53,7 +53,6 @@ import (
 	"mlaasbench/internal/dataset"
 	"mlaasbench/internal/perf"
 	"mlaasbench/internal/pipeline"
-	"mlaasbench/internal/profiling"
 	"mlaasbench/internal/rng"
 	"mlaasbench/internal/service"
 	"mlaasbench/internal/synth"
@@ -112,7 +111,6 @@ func main() {
 		perfDir    = flag.String("perf-dir", "", "also append this run as a perf history record (same schema as mlaas-perf run) into this directory, e.g. perf/results")
 		perfLabel  = flag.String("perf-label", "loadgen", "label stamped on the perf history record")
 		traceOut   = flag.String("trace-out", "", "export every pass's retained traces as JSONL here (analyse with mlaas-trace)")
-		profDir    = flag.String("profile-dir", "", "capture one profile bundle per pass into this directory, concurrent with the pass so the CPU window samples it under load (diff two with go tool pprof -top -diff_base <dir>/<first>/cpu.pprof <dir>/<latest>/cpu.pprof)")
 		telSummary = flag.Bool("telemetry", false, "print each pass's telemetry summary to stderr")
 	)
 	flag.Parse()
@@ -154,16 +152,11 @@ func main() {
 	var passRegs []*telemetry.Registry
 	if *url != "" {
 		reg := telemetry.NewRegistry()
-		err := profiledPass(*profDir, "pass-remote", reg, captureWindow(*duration), func() error {
-			pass, err := runPass("remote", *url, *platform, cfg, sp, *seed, *clients, *batch, *duration, codec, reg)
-			if err == nil {
-				rep.Passes = append(rep.Passes, pass)
-			}
-			return err
-		})
+		pass, err := runPass("remote", *url, *platform, cfg, sp, *seed, *clients, *batch, *duration, codec, reg)
 		if err != nil {
 			log.Fatalf("loadgen: %v", err)
 		}
+		rep.Passes = append(rep.Passes, pass)
 		passRegs = append(passRegs, reg)
 	} else {
 		// Two in-process passes over identical workloads. "refit" is the
@@ -179,17 +172,12 @@ func main() {
 				WithModelCache(arm.cache).
 				WithPredictShards(*shards).
 				Handler())
-			err := profiledPass(*profDir, "pass-"+arm.name, reg, captureWindow(*duration), func() error {
-				pass, err := runPass(arm.name, srv.URL, *platform, cfg, sp, *seed, *clients, *batch, *duration, codec, reg)
-				if err == nil {
-					rep.Passes = append(rep.Passes, pass)
-				}
-				return err
-			})
+			pass, err := runPass(arm.name, srv.URL, *platform, cfg, sp, *seed, *clients, *batch, *duration, codec, reg)
 			srv.Close()
 			if err != nil {
 				log.Fatalf("loadgen: %s pass: %v", arm.name, err)
 			}
+			rep.Passes = append(rep.Passes, pass)
 			passRegs = append(passRegs, reg)
 		}
 		if rep.Passes[0].ReqPerSec > 0 {
@@ -227,46 +215,6 @@ func main() {
 		}
 		fmt.Printf("perf record written to %s\n", path)
 	}
-}
-
-// profiledPass runs fn, capturing one profile bundle concurrently when
-// dir is set — the CPU window then samples the pass while it is actually
-// under load, and the sidecar links the pass registry's slowest retained
-// traces. Tags become part of the bundle id, so `go tool pprof -top
-// -diff_base <...>-pass-refit/cpu.pprof <...>-pass-forward/cpu.pprof`
-// compares the two arms directly.
-func profiledPass(dir, tag string, reg *telemetry.Registry, window time.Duration, fn func() error) error {
-	if dir == "" {
-		return fn()
-	}
-	p, err := profiling.New(profiling.Config{Dir: dir, CPUDuration: window, Registry: reg})
-	if err != nil {
-		return err
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := p.CaptureNow(tag, profiling.ReasonManual, nil); err != nil {
-			log.Printf("loadgen: profile capture (%s): %v", tag, err)
-		}
-	}()
-	err = fn()
-	<-done
-	return err
-}
-
-// captureWindow sizes a pass's CPU sampling window: half the pass, kept
-// inside [100ms, 2s] so short passes still sample and long ones don't
-// drag the capture out.
-func captureWindow(d time.Duration) time.Duration {
-	w := d / 2
-	if w > 2*time.Second {
-		w = 2 * time.Second
-	}
-	if w < 100*time.Millisecond {
-		w = 100 * time.Millisecond
-	}
-	return w
 }
 
 // perfRecord reshapes the report into the append-only perf/results schema.

@@ -7,20 +7,6 @@
 //	             [-store-dir artifacts/] [-log-format text|json]
 //	             [-log-level debug|info|warn|error] [-slow-request 250ms]
 //	             [-health-interval 5s]
-//	             [-profile-dir profiles/] [-profile-interval 1m] [-profile-cpu 1s]
-//	             [-profile-max 32] [-slo-latency 50ms] [-slo-target 0.99]
-//	             [-slo-error-target 0.999] [-slo-window 1m] [-slo-burn 1]
-//	             [-slo-queue-depth 32] [-slo-interval 5s]
-//
-// -profile-dir turns on the continuous profiler: every -profile-interval
-// it captures CPU/heap/mutex/block/goroutine profiles into a bounded
-// on-disk ring of bundles, each with a JSON sidecar carrying the env
-// fingerprint, a runtime health snapshot and the slowest retained traces
-// of the window. The -slo-* flags add a watchdog that computes rolling
-// burn rates over the predict route's latency/error metrics (and the
-// admission queue depth) and triggers an immediate tagged capture on
-// breach. Bundles are standard pprof files: read them with go tool pprof,
-// locally or after fetching them from /debug/profiles.
 //
 // -store-dir attaches a durable artifact store (MLMF files) beneath the
 // model cache: every fitted model is persisted, evicted models demote to
@@ -57,9 +43,6 @@
 //	GET /metrics.json      snapshot with p50/p95/p99 per histogram
 //	GET /debug/traces      flight-recorder index (retained trace summaries)
 //	GET /debug/traces/{id} one retained trace as its full span tree
-//	GET /debug/profiles              profile bundle index (sidecars)
-//	GET /debug/profiles/{id}         one bundle's sidecar
-//	GET /debug/profiles/{id}/{kind}  raw .pprof (cpu, heap, mutex, block, goroutine)
 //	GET /healthz           liveness + uptime + build/env fingerprint +
 //	                       admission queue depth + disk-tier counters
 //
@@ -74,7 +57,8 @@
 // slower than -slow-request escalate to Warn at any level.
 //
 // -pprof mounts net/http/pprof on a separate (private) listener so
-// profiling is never exposed on the public API address.
+// profiling is never exposed on the public API address. It is the one way
+// to profile a live server: go tool pprof -top http://<addr>/debug/pprof/profile.
 package main
 
 import (
@@ -91,7 +75,6 @@ import (
 	"os/signal"
 	"time"
 
-	"mlaasbench/internal/profiling"
 	"mlaasbench/internal/service"
 	"mlaasbench/internal/store"
 	"mlaasbench/internal/telemetry"
@@ -117,28 +100,6 @@ func main() {
 		"max predict requests waiting for an execution slot before load shedding starts")
 	storeDir := flag.String("store-dir", "",
 		"directory for durable MLMF model artifacts; fitted models persist there, evictions demote to disk, and the cache warms from it at boot (empty disables); replicas of one cluster share a directory so joiners warm from the fleet's artifacts")
-	profileDir := flag.String("profile-dir", "",
-		"directory for continuous-profiler bundles (CPU/heap/mutex/block/goroutine + sidecar); served at /debug/profiles; read with go tool pprof -top <bundle>/cpu.pprof, or remotely after curl <addr>/debug/profiles/<bundle>/cpu -o cpu.pprof (empty disables)")
-	profileInterval := flag.Duration("profile-interval", time.Minute,
-		"period between periodic profile captures; 0 captures only on SLO breaches")
-	profileCPU := flag.Duration("profile-cpu", time.Second,
-		"CPU sampling window per capture (clamped to half the interval)")
-	profileMax := flag.Int("profile-max", 32,
-		"max profile bundles kept on disk (oldest pruned first)")
-	sloLatency := flag.Duration("slo-latency", 0,
-		"predict latency objective; requests slower than this spend error budget (0 disables the latency SLO)")
-	sloTarget := flag.Float64("slo-target", 0.99,
-		"fraction of predict requests that must meet -slo-latency (0.99 = 1% error budget)")
-	sloErrorTarget := flag.Float64("slo-error-target", 0,
-		"fraction of predict requests that must not be 5xx, e.g. 0.999 (0 disables the error SLO)")
-	sloWindow := flag.Duration("slo-window", time.Minute,
-		"rolling window the SLO burn rates are computed over")
-	sloBurn := flag.Float64("slo-burn", 1,
-		"burn rate above which the watchdog triggers a profile capture (1 = budget consumed exactly at the allowed rate)")
-	sloQueueDepth := flag.Int64("slo-queue-depth", 0,
-		"admission queue depth above which the watchdog triggers (0 disables the queue SLO)")
-	sloInterval := flag.Duration("slo-interval", 5*time.Second,
-		"how often the watchdog evaluates the SLOs")
 	flag.Parse()
 
 	logf := log.Printf
@@ -175,47 +136,6 @@ func main() {
 			log.Fatalf("mlaas-server: warm from %s: %v", *storeDir, err)
 		}
 		log.Printf("mlaas-server warmed %d models from %s in %s", n, *storeDir, time.Since(start).Round(time.Millisecond))
-	}
-	// Continuous profiling + SLO watchdog: periodic capture bundles land
-	// in -profile-dir (served at /debug/profiles), and when any SLO
-	// dimension is enabled, breaches trigger an immediate tagged capture.
-	if *profileDir != "" {
-		prof, err := profiling.New(profiling.Config{
-			Dir:         *profileDir,
-			Interval:    *profileInterval,
-			CPUDuration: *profileCPU,
-			MaxBundles:  *profileMax,
-		})
-		if err != nil {
-			log.Fatalf("mlaas-server: %v", err)
-		}
-		api = api.WithProfileStore(prof.Store())
-		if *sloLatency > 0 || *sloErrorTarget > 0 || *sloQueueDepth > 0 {
-			wd, err := profiling.NewWatchdog(profiling.WatchdogConfig{
-				SLOs: []profiling.SLO{{
-					Name:             "predict",
-					Route:            "predict",
-					LatencyObjective: sloLatency.Seconds(),
-					LatencyTarget:    *sloTarget,
-					ErrorTarget:      *sloErrorTarget,
-					MaxBurn:          *sloBurn,
-					MaxQueueDepth:    *sloQueueDepth,
-					Window:           *sloWindow,
-				}},
-				Interval: *sloInterval,
-			})
-			if err != nil {
-				log.Fatalf("mlaas-server: %v", err)
-			}
-			wd.Watch(prof)
-			wd.Start()
-			defer wd.Stop()
-			log.Printf("mlaas-server SLO watchdog on predict (latency %s @ %.3f, errors @ %.3f, queue > %d, window %s, max burn %.1f)",
-				*sloLatency, *sloTarget, *sloErrorTarget, *sloQueueDepth, *sloWindow, *sloBurn)
-		}
-		prof.Start()
-		defer prof.Stop()
-		log.Printf("mlaas-server profiling into %s every %s (bundles at /debug/profiles; read with go tool pprof)", *profileDir, *profileInterval)
 	}
 	srv := &http.Server{
 		Addr:              *addr,
@@ -259,22 +179,28 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 	}
 }
 
-// servePprof exposes the standard pprof handlers on their own mux and
-// listener, keeping the profiling surface off the API address.
-func servePprof(addr string) {
+// pprofMux mounts the standard pprof handlers; /debug/pprof/ also serves
+// the named runtime profiles (heap, goroutine, mutex, block, allocs).
+func pprofMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// servePprof serves pprofMux on its own listener, keeping the profiling
+// surface off the API address.
+func servePprof(addr string) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Printf("pprof serve: %v", err)
 		return
 	}
 	log.Printf("pprof listening on %s/debug/pprof/", ln.Addr())
-	pprofSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	pprofSrv := &http.Server{Handler: pprofMux(), ReadHeaderTimeout: 10 * time.Second}
 	if err := pprofSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("pprof serve: %v", err)
 	}

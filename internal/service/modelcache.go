@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -170,8 +171,15 @@ func (c *modelCache) get(key string, fit func() (platforms.FittedModel, error)) 
 
 // fill resolves a key that is neither resident nor in flight: disk tier
 // first, then fit. ModelCacheMisses counts only fills that actually ran a
-// fit, so a warmed or demoted key re-hits with a miss count of zero.
+// fit, so a warmed or demoted key re-hits with a miss count of zero. A
+// panicking fit becomes the call's error: get must still release the key,
+// or every later request for it would wait on done forever.
 func (c *modelCache) fill(key string, call *fitCall, fit func() (platforms.FittedModel, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			call.model, call.err = nil, fmt.Errorf("service: fit panicked: %v", r)
+		}
+	}()
 	if c.store != nil {
 		start := time.Now()
 		if m, ok, err := c.store.GetModel(key); err == nil && ok {

@@ -193,3 +193,66 @@ func TestModelCacheSingleflightCoalesces(t *testing.T) {
 		t.Fatalf("coalesced=%d misses=%d, want %d/1", co, mi, followers)
 	}
 }
+
+// TestModelCachePanickingFitReleasesKey: a fit that panics reaches its
+// leader and a coalesced follower as an error, and leaves the key free, so
+// a later get with a good fit succeeds instead of waiting forever.
+func TestModelCachePanickingFitReleasesKey(t *testing.T) {
+	c, reg := testCache(4)
+	release := make(chan struct{})
+	started := make(chan struct{})
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.get("k", func() (platforms.FittedModel, error) {
+			close(started)
+			<-release
+			panic("bad split parameter")
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	followerErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.get("k", func() (platforms.FittedModel, error) {
+			t.Error("follower ran its own fit instead of coalescing")
+			return &stubModel{}, nil
+		})
+		followerErr <- err
+	}()
+	deadline := time.After(5 * time.Second)
+	for counter(reg, telemetry.ModelCacheCoalesced) < 1 {
+		select {
+		case <-deadline:
+			t.Fatal("follower never coalesced onto the in-flight fit")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(release)
+
+	for name, ch := range map[string]chan error{"leader": leaderErr, "follower": followerErr} {
+		select {
+		case err := <-ch:
+			if err == nil {
+				t.Errorf("%s: want the panic as an error, got nil", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: get still blocked after the fit panicked", name)
+		}
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m, _, err := c.get("k", func() (platforms.FittedModel, error) { return &stubModel{id: 2}, nil })
+		if err != nil || m == nil {
+			t.Errorf("get after the panic: m=%v err=%v", m, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("get after the panic blocked: key still in flight")
+	}
+}

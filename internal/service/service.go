@@ -48,7 +48,6 @@ import (
 	"mlaasbench/internal/dataset"
 	"mlaasbench/internal/pipeline"
 	"mlaasbench/internal/platforms"
-	"mlaasbench/internal/profiling"
 	"mlaasbench/internal/store"
 	"mlaasbench/internal/telemetry"
 	"mlaasbench/internal/wire"
@@ -77,9 +76,6 @@ type Server struct {
 	// cluster routers keep the replica out of rotation. Zero value =
 	// ready, so servers without a disk tier are born ready.
 	notReady atomic.Bool
-	// profiles, when non-nil, exposes the continuous profiler's bundle
-	// ring at /debug/profiles (see profiles_http.go).
-	profiles *profiling.Store
 }
 
 // datasetEntry is one uploaded dataset with the training views derived from
@@ -239,9 +235,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /debug/traces", s.handleTraceIndex)
 	mux.HandleFunc("GET /debug/traces/{trace}", s.handleTraceGet)
-	mux.HandleFunc("GET /debug/profiles", s.handleProfileIndex)
-	mux.HandleFunc("GET /debug/profiles/{bundle}", s.handleProfileGet)
-	mux.HandleFunc("GET /debug/profiles/{bundle}/{kind}", s.handleProfileFetch)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }

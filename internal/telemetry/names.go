@@ -81,29 +81,6 @@ const (
 	// fit time it replaces.
 	StoreLoadHistogram = "mlaas_store_load_duration_seconds"
 
-	// Profiling* instrument the continuous profiler (internal/profiling):
-	// captures counts finished profile bundles by reason
-	// ("periodic"|"trigger"|"manual"), triggers counts SLO-watchdog breach
-	// captures by SLO name, and dropped counts captures that did not happen
-	// or bundles that did not survive, by reason ("busy": the CPU profiler
-	// was already running; "cooldown": a trigger landed inside the
-	// per-SLO cooldown; "evict": the on-disk ring pruned the oldest bundle;
-	// "error": the capture failed mid-write).
-	ProfilingCapturesTotal = "mlaas_profiling_captures_total"
-	ProfilingTriggersTotal = "mlaas_profiling_triggers_total"
-	ProfilingDroppedTotal  = "mlaas_profiling_dropped_total"
-
-	// SLOBurnRateMilli is the watchdog's rolling-window burn rate per SLO
-	// and dimension (labels: slo, kind="latency"|"errors"), scaled by 1000
-	// because gauges are integral: 1000 means the error budget is being
-	// consumed exactly as fast as the SLO allows, 2000 twice as fast.
-	SLOBurnRateMilli = "mlaas_slo_burn_rate_milli"
-
-	// SLOBreachesTotal counts breach transitions per SLO — ticks where a
-	// burn rate or queue-depth bound first crossed its threshold after
-	// being healthy (edge-triggered, so sustained breaches count once).
-	SLOBreachesTotal = "mlaas_slo_breaches_total"
-
 	// Router* instrument the cluster front end (internal/cluster): requests
 	// counts every proxied request by replica and outcome
 	// ("ok"|"client_error"|"error"), state changes counts routable-state
@@ -150,11 +127,6 @@ func init() {
 	Default().Describe(StoreWarmLoads, "Models warmed into the cache from disk at boot.")
 	Default().Describe(StoreSkipped, "Disk artifacts the boot warm scan could not decode and skipped.")
 	Default().Describe(StoreLoadHistogram, "Disk artifact load duration in seconds, by op (hit or warm).")
-	Default().Describe(ProfilingCapturesTotal, "Finished profile bundles, by reason (periodic, trigger, manual).")
-	Default().Describe(ProfilingTriggersTotal, "SLO-watchdog breach captures, by SLO name.")
-	Default().Describe(ProfilingDroppedTotal, "Captures skipped or bundles pruned, by reason (busy, cooldown, evict, error).")
-	Default().Describe(SLOBurnRateMilli, "Rolling-window SLO burn rate x1000, by SLO and dimension (latency or errors).")
-	Default().Describe(SLOBreachesTotal, "SLO breach transitions (healthy -> breached), by SLO name.")
 	Default().Describe(RouterRequestsTotal, "Requests proxied by the cluster router, by replica and outcome.")
 	Default().Describe(RouterReplicaStateChangesTotal, "Replica routable-state transitions (ring rebalance events), by replica and state.")
 	Default().Describe(RouterFailoversTotal, "Proxy attempts that failed over to another ring owner, by route.")

@@ -206,22 +206,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 // mutate it.
 func (h *Histogram) Bounds() []float64 { return h.bounds }
 
-// CumulativeBelow returns how many observations landed in buckets whose
-// upper bound is <= v — the "good" count for a latency SLO whose threshold
-// is v. Thresholds between bucket bounds round down to the nearest bound,
-// so a threshold that does not align with a bucket is judged
-// conservatively (fewer observations count as good).
-func (h *Histogram) CumulativeBelow(v float64) uint64 {
-	var cum uint64
-	for i, bound := range h.bounds {
-		if bound > v {
-			break
-		}
-		cum += h.buckets[i].Load()
-	}
-	return cum
-}
-
 // snapshotBuckets returns cumulative counts aligned with bounds + the +Inf
 // bucket, plus count and sum, read once.
 func (h *Histogram) snapshotBuckets() (cum []uint64, count uint64, sum float64) {
@@ -425,9 +409,7 @@ func (r *Registry) HistogramBuckets(name string, bounds []float64, labelPairs ..
 
 // SumCounters sums every counter series of the family whose labels include
 // all the given name/value pairs (subset match; no pairs sums the whole
-// family). Families that are not counters, or do not exist, sum to 0. The
-// SLO watchdog uses it to collapse the per-platform dimension of the
-// request counters into one per-route total.
+// family). Families that are not counters, or do not exist, sum to 0.
 func (r *Registry) SumCounters(name string, labelPairs ...string) int64 {
 	f := r.family(name)
 	if f == nil || f.kind != kindCounter {
