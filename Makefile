@@ -1,12 +1,13 @@
 # Standard pre-merge gate: `make check` runs gofmt and vet, the full test
 # suite (which includes TestPprofMux, the in-process check of the server's
-# -pprof listener, the only live profiling surface), the race detector over
-# the concurrency-bearing packages (telemetry, service, client, wire, store,
-# cluster, the parallel sweep engine in core/pipeline/platforms, and the
-# pooled predict scratch in classifiers), a one-iteration kernel-benchmark
-# smoke, a short loadgen smoke that exercises the serving path end-to-end, a
-# trace smoke, a wire smoke (binary-vs-JSON equivalence over a live server +
-# decoder fuzz seed corpus), a store smoke, a perf-tracking smoke
+# -pprof listener, the only live profiling surface, and
+# TestRunAnalysesServedTraces, mlaas-trace over a served trace export), the
+# race detector over the concurrency-bearing packages (telemetry, service,
+# client, wire, store, cluster, the parallel sweep engine in
+# core/pipeline/platforms, and the pooled predict scratch in classifiers), a
+# one-iteration kernel-benchmark smoke, a wire smoke (binary-vs-JSON equivalence over a live server,
+# concurrent clients over both codecs with the model cache off and on, and
+# the decoder fuzz seed corpus), a store smoke, a perf-tracking smoke
 # (mlaas-perf run/compare/report against perf/results/), a cluster smoke
 # (binary predict through the router, kill-one-replica failover,
 # sharded-sweep-equals-serial), a 3 s end-to-end benchmark smoke
@@ -21,7 +22,7 @@ RACE_PKGS := ./internal/telemetry ./internal/service ./internal/client \
 	./internal/wire ./internal/pipeline ./internal/platforms ./internal/store \
 	./internal/cluster
 
-.PHONY: all build fmt vet test race check bench bench-quick bench-kernels bench-e2e bench-e2e-smoke loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke cluster-smoke no-strays perf-run perf-compare perf-report
+.PHONY: all build fmt vet test race check bench bench-quick bench-kernels bench-e2e bench-e2e-smoke wire-smoke store-smoke perf-smoke cluster-smoke no-strays perf-run perf-compare perf-report
 
 all: check
 
@@ -51,42 +52,28 @@ race:
 	$(GO) test -race -run 'TestParallel|TestSweepCancellation' ./internal/core
 	$(GO) test -race -run 'TestPredict|TestKNN|TestSquaredEuclidean|TestPresort' ./internal/classifiers ./internal/linalg
 
-check: fmt vet test race bench-kernels loadgen-smoke trace-smoke wire-smoke store-smoke perf-smoke cluster-smoke bench-e2e-smoke no-strays
+check: fmt vet test race bench-kernels wire-smoke store-smoke perf-smoke cluster-smoke bench-e2e-smoke no-strays
 
-# Fails if any server, router, load generator or benchmark binary, go tool
-# pprof, or go test binary (<pkg>.test -test.*) is still running — every
-# target above (and every hand-started process) must stop what it starts.
-# The brackets keep the pattern from matching the shell that runs it; run
-# it on its own, not in a command line that itself names one of those
-# binaries, or it matches that command line.
+# Fails if any server, router or benchmark binary, go tool pprof, or go test
+# binary (<pkg>.test -test.*) is still running — every target above (and
+# every hand-started process) must stop what it starts. The brackets keep
+# the pattern from matching the shell that runs it; run it on its own, not
+# in a command line that itself names one of those binaries, or it matches
+# that command line.
 no-strays:
-	@! pgrep -af '[v]-server|[m]laas-(server|router|loadgen|benchmark)|[p]kg/tool/[^ ]*/pprof|[.]test -test[.]'
-
-# A ~2s end-to-end run of the closed-loop load generator against in-process
-# servers: proves upload/train/predict and the refit-vs-forward comparison
-# still work before merging. Full benchmark instructions: EXPERIMENTS.md.
-loadgen-smoke:
-	$(GO) run ./cmd/mlaas-loadgen -clients 2 -batch 32 -duration 1s
-
-# Flight-recorder smoke: a ~2s traced loadgen run exports its trace JSONL
-# and mlaas-trace must summarize a non-empty export — proves cross-process
-# stitching, the ring buffer, and the analysis CLI end to end.
-trace-smoke:
-	$(GO) run ./cmd/mlaas-loadgen -clients 2 -batch 32 -duration 1s \
-		-trace-out /tmp/mlaas-trace-smoke.jsonl >/dev/null
-	$(GO) run ./cmd/mlaas-trace /tmp/mlaas-trace-smoke.jsonl
+	@! pgrep -af '[v]-server|[m]laas-(server|router|benchmark)|[p]kg/tool/[^ ]*/pprof|[.]test -test[.]'
 
 # Binary wire-path smoke: the JSON-oracle equivalence and negotiation tests
 # over a live in-process server, the malformed-body cases (wrong width,
-# garbage, truncation, forged zero-width frames — each a clean 400), the
-# decoder fuzz seed corpus (one pass — malformed frames must error, never
-# panic or over-allocate), and a short binary-codec loadgen
-# run end to end. Extend the corpus with `go test -fuzz FuzzFrameDecoder
-# ./internal/wire`.
+# garbage, truncation, forged zero-width frames — each a clean 400),
+# TestServingArmsAgree (two concurrent clients per codec × cache-off/on arm:
+# identical labels everywhere, refit-only vs forward-only predict paths,
+# per-arm registries), and the decoder fuzz seed corpus (one pass —
+# malformed frames must error, never panic or over-allocate). Extend the
+# corpus with `go test -fuzz FuzzFrameDecoder ./internal/wire`.
 wire-smoke:
-	$(GO) test -count=1 -run 'TestBinaryPredict|TestAccept|TestMultiFrame|TestPredictRejects' ./internal/service
+	$(GO) test -count=1 -run 'TestBinaryPredict|TestAccept|TestMultiFrame|TestPredictRejects|TestServingArmsAgree' ./internal/service
 	$(GO) test -count=1 -run FuzzFrameDecoder ./internal/wire
-	$(GO) run ./cmd/mlaas-loadgen -clients 2 -batch 32 -duration 1s -codec binary >/dev/null
 
 # Artifact-store smoke: the MLDS/MLMF round-trip and corruption tests, both
 # decoder fuzz seed corpora (corrupt artifacts must error, never panic), the

@@ -1,5 +1,5 @@
-// Command mlaas-trace analyses trace JSONL exported by mlaas-bench or
-// mlaas-loadgen (-trace-out) or captured from a server's /debug/traces.
+// Command mlaas-trace analyses trace JSONL exported by mlaas-bench
+// (-trace-out) or captured from a server's /debug/traces.
 //
 // Usage:
 //
@@ -78,7 +78,7 @@ func loadTraceFile(path string) ([]telemetry.TraceData, error) {
 		return nil, err
 	}
 	if len(bytes.TrimSpace(data)) == 0 {
-		return nil, fmt.Errorf("%s: empty input: no trace JSONL lines (export some with mlaas-bench/mlaas-loadgen -trace-out, or GET /debug/traces from a server)", path)
+		return nil, fmt.Errorf("%s: empty input: no trace JSONL lines (export some with mlaas-bench -trace-out, or GET /debug/traces from a server)", path)
 	}
 	lines := bytes.Split(data, []byte("\n"))
 	var out []telemetry.TraceData

@@ -2,12 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mlaasbench/internal/client"
+	"mlaasbench/internal/pipeline"
+	"mlaasbench/internal/rng"
+	"mlaasbench/internal/service"
+	"mlaasbench/internal/synth"
 	"mlaasbench/internal/telemetry"
 )
 
@@ -242,5 +249,68 @@ func TestTruncatedWithTrailingNewline(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "bad trace JSONL") {
 		t.Errorf("want malformed-line diagnostic: %s", errb.String())
+	}
+}
+
+// TestRunAnalysesServedTraces analyses a real export: client and server
+// share one registry, so its ring holds both the client's rpc fragments and
+// the server's handler fragments of each upload, train and predict. The
+// export must load, stitch rpc:predict → http:predict, and report a
+// non-empty stages section. Cross-process stitching is pinned separately by
+// internal/client's TestClientServerTraceStitch.
+func TestRunAnalysesServedTraces(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv := httptest.NewServer(service.NewServer(func(string, ...any) {}).WithRegistry(reg).Handler())
+	defer srv.Close()
+	c := client.New(srv.URL)
+	c.Telemetry = reg
+	ctx := context.Background()
+	ds := synth.GenerateClean(synth.Spec{Name: "trace", Gen: synth.GenLinear, N: 120, D: 4, Noise: 0.2}, synth.Quick, 1)
+	sp := ds.StratifiedSplit(0.7, rng.New(7))
+	dsID, err := c.Upload(ctx, "local", sp.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mID, err := c.Train(ctx, "local", dsID, pipeline.Config{Classifier: "logreg", Params: map[string]any{}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := c.Predict(ctx, "local", mID, sp.Test.X); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := telemetry.WriteTraceJSONL(&buf, reg.Traces().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	path := writeInput(t, buf.String())
+	var out, errb bytes.Buffer
+	if code := run([]string{path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+
+	frags, err := loadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stitched := false
+	for _, tr := range mergeFragments(frags) {
+		if tr.Root.Name != "rpc:predict" {
+			continue
+		}
+		for _, kid := range tr.Root.Children {
+			stitched = stitched || kid.Name == "http:predict"
+		}
+	}
+	if !stitched {
+		t.Errorf("no rpc:predict trace has the server's http:predict grafted under it (%d fragments)", len(frags))
+	}
+
+	_, report, _ := strings.Cut(out.String(), "== stages")
+	stages, _, _ := strings.Cut(report, "\n\n")
+	if !strings.Contains(stages, "\nrpc:predict ") || !strings.Contains(stages, "\nhttp:predict ") {
+		t.Errorf("stages section lacks the predict spans:\n%s", out.String())
 	}
 }

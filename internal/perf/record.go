@@ -34,7 +34,8 @@ const SchemaVersion = 1
 // Record kinds. A "bench" record holds go test -bench results (ns/op and
 // friends); a "loadgen" record holds closed-loop serving-path results
 // (req/s, latency quantiles) in the same shape, so both trajectories live
-// in one history.
+// in one history. Loadgen records are history: the generator that wrote
+// them is gone, and report and compare still read the committed ones.
 const (
 	KindBench   = "bench"
 	KindLoadgen = "loadgen"
@@ -272,24 +273,4 @@ func ReadRecord(path string) (*Record, error) {
 		return nil, fmt.Errorf("%s: not a perf record (missing kind or results)", path)
 	}
 	return &rec, nil
-}
-
-// LoadgenResults builds the standard series set for one loadgen pass —
-// the (name, unit) identities cmd/mlaas-loadgen's -perf-out records and
-// the committed pr3 loadgen record share, so the trajectory is continuous
-// across them.
-func LoadgenResults(name string, reqPerSec, instPerSec, meanMs, p50Ms, p95Ms, p99Ms float64) []Result {
-	mk := func(unit string, v float64) Result {
-		r := Result{Name: name, Unit: unit, Runs: []float64{v}, HigherIsBetter: HigherBetterUnit(unit)}
-		r.Finalize()
-		return r
-	}
-	return []Result{
-		mk("req/s", reqPerSec),
-		mk("instances/s", instPerSec),
-		mk("mean_ms", meanMs),
-		mk("p50_ms", p50Ms),
-		mk("p95_ms", p95Ms),
-		mk("p99_ms", p99Ms),
-	}
 }

@@ -69,7 +69,7 @@ func TestFitOnceMatchesRefitEveryPlatform(t *testing.T) {
 }
 
 // TestFitOnceMatchesRefitNonDefaultConfigs walks the heavier corners the
-// loadgen leans on: ensembles, the MLP, and FEAT transforms that carry
+// serving path leans on: ensembles, the MLP, and FEAT transforms that carry
 // fitted state (scaler moments, filter column choice, the LDA projection).
 func TestFitOnceMatchesRefitNonDefaultConfigs(t *testing.T) {
 	full := synth.GenerateClean(synth.Spec{Name: "fitonce-cfg", Gen: synth.GenClusters, N: 100, D: 6, Noise: 0.3}, synth.Quick, 5)

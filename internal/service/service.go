@@ -37,6 +37,7 @@ import (
 	"io"
 	"log"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -160,8 +161,8 @@ func (s *Server) WithSlowRequestThreshold(d time.Duration) *Server {
 
 // WithModelCache bounds the fitted-model LRU to n models and returns the
 // server (chainable). Zero disables residency entirely — every predict
-// refits from the model description, the pre-cache behaviour — which is the
-// baseline arm of the mlaas-loadgen comparison.
+// refits from the model description, the pre-cache behaviour, against which
+// the serving tests check the cached path.
 func (s *Server) WithModelCache(n int) *Server {
 	s.fits.setCapacity(n)
 	return s
@@ -759,18 +760,44 @@ func (s *Server) buildConfig(p platforms.Platform, req TrainRequest) (pipeline.C
 		cfg.Feat = f
 	}
 	for k, v := range req.Params {
-		if _, known := cfg.Params[k]; !known {
+		def, known := cfg.Params[k]
+		if !known {
 			return pipeline.Config{}, fmt.Errorf("parameter %q not exposed by %s/%s", k, p.Name(), clf)
 		}
-		// JSON numbers arrive as float64; normalize int-typed defaults.
-		if _, isInt := cfg.Params[k].(int); isInt {
-			if f, isFloat := v.(float64); isFloat {
-				v = int(f)
-			}
+		v, err := paramValue(def, v)
+		if err != nil {
+			return pipeline.Config{}, fmt.Errorf("parameter %q of %s/%s: %v", k, p.Name(), clf, err)
 		}
 		cfg.Params[k] = v
 	}
 	return cfg, nil
+}
+
+// paramValue checks a JSON-decoded train parameter against the type of the
+// default it replaces and returns it in that type: a string default takes a
+// string (every categorical option is one), an int default an integral
+// number, and a float64 default, the only other kind, any number. A value
+// the classifier would ignore in favour of its default is refused, so one
+// model never gets a second id.
+func paramValue(def, v any) (any, error) {
+	f, isNum := v.(float64)
+	switch def.(type) {
+	case string:
+		if _, ok := v.(string); ok {
+			return v, nil
+		}
+		return nil, fmt.Errorf("want a string, got %v", v)
+	case int:
+		// 2^53 bounds the integers a JSON number holds exactly.
+		if isNum && f == math.Trunc(f) && math.Abs(f) <= 1<<53 {
+			return int(f), nil
+		}
+		return nil, fmt.Errorf("want an integer, got %v", v)
+	}
+	if isNum {
+		return f, nil
+	}
+	return nil, fmt.Errorf("want a number, got %v", v)
 }
 
 // PredictRequest carries query instances.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -123,6 +125,48 @@ func TestTrainRejectsUnknownParam(t *testing.T) {
 	cfg := pipeline.Config{Classifier: "logreg", Params: map[string]any{"gamma": 1.0}}
 	if _, err := c.Train(ctx, "amazon", dsID, cfg, 1); err == nil {
 		t.Fatal("unexposed parameter must be rejected")
+	}
+}
+
+// A param value of the wrong JSON type used to train the default model
+// under a new content id (and a fractional int was truncated where the
+// classifier rounds); each is now a 400 naming the key, while the same
+// values in the right type train.
+func TestTrainRejectsParamOfWrongType(t *testing.T) {
+	srv, c := newTestServer(t)
+	dsID, err := c.Upload(context.Background(), "local", testSplit(t).Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := func(classifier, params string) (int, string) {
+		body := fmt.Sprintf(`{"dataset":%q,"classifier":%q,"params":%s}`, dsID, classifier, params)
+		resp, err := http.Post(srv.URL+"/v1/platforms/local/models", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var envelope struct{ Error string }
+		_ = json.NewDecoder(resp.Body).Decode(&envelope)
+		return resp.StatusCode, envelope.Error
+	}
+	for _, tc := range []struct{ classifier, params, key string }{
+		{"mlp", `{"activation":3}`, "activation"},
+		{"dtree", `{"max_depth":"deep"}`, "max_depth"},
+		{"randomforest", `{"n_estimators":10.7}`, "n_estimators"},
+	} {
+		code, msg := train(tc.classifier, tc.params)
+		if code != http.StatusBadRequest || !strings.Contains(msg, strconv.Quote(tc.key)) {
+			t.Errorf("%s %s: status %d %s, want 400 naming %q", tc.classifier, tc.params, code, msg, tc.key)
+		}
+	}
+	for _, tc := range []struct{ classifier, params string }{
+		{"mlp", `{"activation":"tanh","alpha":1}`},
+		{"dtree", `{"max_depth":4}`},
+		{"randomforest", `{"n_estimators":10.0}`},
+	} {
+		if code, msg := train(tc.classifier, tc.params); code != http.StatusCreated {
+			t.Errorf("%s %s: status %d %s, want 201", tc.classifier, tc.params, code, msg)
+		}
 	}
 }
 

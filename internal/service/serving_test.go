@@ -2,7 +2,9 @@ package service_test
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -189,5 +191,100 @@ func TestConcurrentPredictsWithTrainInFlight(t *testing.T) {
 	// Exactly one fit for this description across every train and predict.
 	if mi := reg.Counter(telemetry.ModelCacheMisses).Value(); mi != 1 {
 		t.Fatalf("misses=%d, want 1 (one fit total)", mi)
+	}
+}
+
+// TestServingArmsAgree runs the closed-loop serving workload over codec
+// {json, binary} × model cache {off, DefaultModelCacheModels}, each arm
+// against its own server and registry: upload and train once, then two
+// concurrent clients each send 20 predicts of a 32-row batch (test rows
+// tiled to fill it). Every response in every arm must equal the first one;
+// the cache-off arm must serve only refit-path predicts and the cached arm
+// only forward-path ones; and client and server telemetry must land in the
+// arm's registry, never in the process-wide default one.
+func TestServingArmsAgree(t *testing.T) {
+	const (
+		clients   = 2
+		perClient = 20
+		batch     = 32
+	)
+	sp := testSplit(t)
+	ctx := context.Background()
+	cfg := pipeline.Config{Classifier: "logreg", Params: map[string]any{}}
+	instances := make([][]float64, batch)
+	for i := range instances {
+		instances[i] = sp.Test.X[i%len(sp.Test.X)]
+	}
+	defaultBefore := telemetry.Default().Snapshot()
+
+	var want []int
+	for _, codec := range []client.Codec{client.CodecJSON, client.CodecBinary} {
+		for _, cache := range []int{0, service.DefaultModelCacheModels} {
+			arm := fmt.Sprintf("codec=%s cache=%d", codec, cache)
+			srv, _, reg := newServingServer(t, cache)
+			newClient := func() *client.Client {
+				c := client.New(srv.URL).WithCodec(codec)
+				c.Telemetry = reg
+				return c
+			}
+			c := newClient()
+			dsID, err := c.Upload(ctx, "local", sp.Train)
+			if err != nil {
+				t.Fatalf("%s: upload: %v", arm, err)
+			}
+			mID, err := c.Train(ctx, "local", dsID, cfg, 1)
+			if err != nil {
+				t.Fatalf("%s: train: %v", arm, err)
+			}
+
+			var wg sync.WaitGroup
+			responses := make([][]int, clients*perClient)
+			errs := make([]error, clients)
+			for w := 0; w < clients; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					cl := newClient()
+					for i := 0; i < perClient; i++ {
+						labels, err := cl.Predict(ctx, "local", mID, instances)
+						if err != nil {
+							errs[w] = err
+							return
+						}
+						responses[w*perClient+i] = labels
+					}
+				}(w)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatalf("%s: predict: %v", arm, err)
+				}
+			}
+			if want == nil {
+				want = responses[0]
+			}
+			for _, got := range responses {
+				mustSameLabels(t, arm, got, want)
+			}
+
+			paths := map[string]uint64{}
+			for _, path := range []string{"refit", "forward"} {
+				paths[path] = reg.Histogram(telemetry.PredictPathHistogram, "path", path).Count()
+			}
+			wantPath := "forward"
+			if cache == 0 {
+				wantPath = "refit"
+			}
+			if paths[wantPath] != clients*perClient || paths["refit"]+paths["forward"] != clients*perClient {
+				t.Errorf("%s: predict paths %v, want all %d on path=%q", arm, paths, clients*perClient, wantPath)
+			}
+			if n := reg.Counter("mlaas_client_requests_total", "endpoint", "predict").Value(); n != clients*perClient {
+				t.Errorf("%s: arm registry saw %d client predicts, want %d", arm, n, clients*perClient)
+			}
+		}
+	}
+	if after := telemetry.Default().Snapshot(); !reflect.DeepEqual(after, defaultBefore) {
+		t.Errorf("the default registry changed while every arm had its own:\nbefore %+v\nafter  %+v", defaultBefore, after)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,14 +15,10 @@ import (
 // modulePath is the import path prefix of every package in this module.
 const modulePath = "mlaasbench"
 
-// moduleImports maps each package of the module to the module packages its
-// non-test files import. Imports are read with go/parser alone, so the
-// graph needs no go toolchain at test time. Files under every build tag
-// count, which can only over-report an edge, never hide one.
-func moduleImports(t *testing.T) map[string][]string {
+// walkGoFiles calls visit with the path of every .go file of the module,
+// skipping the directories the go tool ignores (dot, underscore, testdata).
+func walkGoFiles(t *testing.T, visit func(p string) error) {
 	t.Helper()
-	fset := token.NewFileSet()
-	graph := map[string][]string{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -32,7 +29,26 @@ func moduleImports(t *testing.T) map[string][]string {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		return visit(p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// moduleImports maps each package of the module to the module packages its
+// non-test files import. Imports are read with go/parser alone, so the
+// graph needs no go toolchain at test time. Files under every build tag
+// count, which can only over-report an edge, never hide one.
+func moduleImports(t *testing.T) map[string][]string {
+	t.Helper()
+	fset := token.NewFileSet()
+	graph := map[string][]string{}
+	walkGoFiles(t, func(p string) error {
+		if strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
@@ -51,9 +67,6 @@ func moduleImports(t *testing.T) map[string][]string {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return graph
 }
 
@@ -87,6 +100,26 @@ func TestServiceLayering(t *testing.T) {
 	for _, banned := range []string{modulePath + "/internal/perf", modulePath + "/internal/profiling"} {
 		if deps[banned] {
 			t.Errorf("%s imports %s, directly or through another module package", service, banned)
+		}
+	}
+}
+
+// TestPerfHistoryIsALeafTool pins who may import the perf-history package:
+// mlaas-perf, which runs, compares and reports the history, and the
+// benchmark driver, which writes its records. No internal package and no
+// other binary depends on it.
+func TestPerfHistoryIsALeafTool(t *testing.T) {
+	graph := moduleImports(t)
+	const perf = modulePath + "/internal/perf"
+	importers := []string{modulePath + "/cmd/mlaas-perf", modulePath + "/benchmarks"}
+	for _, pkg := range importers {
+		if !slices.Contains(graph[pkg], perf) {
+			t.Errorf("%s no longer imports %s: the walk missed it, or this list is stale", pkg, perf)
+		}
+	}
+	for pkg, deps := range graph {
+		if slices.Contains(deps, perf) && !slices.Contains(importers, pkg) {
+			t.Errorf("%s imports %s; only %v may", pkg, perf, importers)
 		}
 	}
 }
