@@ -14,6 +14,7 @@ import (
 	"mlaasbench/internal/pipeline"
 	"mlaasbench/internal/platforms"
 	"mlaasbench/internal/rng"
+	"mlaasbench/internal/synth"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
@@ -110,12 +111,48 @@ func TestModelArtifactsGolden(t *testing.T) {
 	for _, g := range goldenArtifacts(t) {
 		fmt.Fprintf(&b, "%s %d %x\n", g.key, len(g.art), sha256.Sum256(g.art))
 	}
-	path := filepath.Join("testdata", "model_artifacts.golden")
+	checkGolden(t, "model_artifacts.golden", b.Bytes())
+}
+
+// TestCorpusGolden pins the inputs every result is computed from: the
+// MLDS bytes (store.EncodeDataset, which a dataset's content id hashes) of
+// every synth.Corpus dataset and of the two §6 probe datasets, generated
+// under synth.Quick at synth.CorpusSeed, by SHA-256. A change to synth or
+// rng that claims to leave the corpus alone must pass it unchanged;
+// regenerate with
+//
+//	go test ./internal/store -run TestCorpusGolden -update
+//
+// only when a change is meant to generate different data.
+func TestCorpusGolden(t *testing.T) {
+	var b bytes.Buffer
+	add := func(label string, spec synth.Spec) {
+		data, err := EncodeDataset(synth.GenerateClean(spec, synth.Quick, synth.CorpusSeed))
+		if err != nil {
+			t.Fatalf("%s: EncodeDataset: %v", label, err)
+		}
+		fmt.Fprintf(&b, "%s %d %x\n", label, len(data), sha256.Sum256(data))
+	}
+	for _, spec := range synth.Corpus() {
+		add("corpus/"+spec.Name, spec)
+	}
+	// The probes are generated from their own specs (core.ProbeDatasets),
+	// not looked up in the corpus.
+	add("probe/CIRCLE", synth.CircleSpec())
+	add("probe/LINEAR", synth.LinearSpec())
+	checkGolden(t, "corpus_quick.golden", b.Bytes())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update, reporting the first differing line.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -124,13 +161,13 @@ func TestModelArtifactsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	if !bytes.Equal(b.Bytes(), want) {
-		gotLines, wantLines := bytes.Split(b.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	if !bytes.Equal(got, want) {
+		gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 			if !bytes.Equal(gotLines[i], wantLines[i]) {
-				t.Fatalf("model artifacts differ from %s at line %d:\n got %s\nwant %s", path, i+1, gotLines[i], wantLines[i])
+				t.Fatalf("%s differs at line %d:\n got %s\nwant %s", path, i+1, gotLines[i], wantLines[i])
 			}
 		}
-		t.Fatalf("model artifacts differ from %s: %d lines, want %d", path, len(gotLines), len(wantLines))
+		t.Fatalf("%s differs: %d lines, want %d", path, len(gotLines), len(wantLines))
 	}
 }
