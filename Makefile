@@ -4,8 +4,9 @@
 # TestRunAnalysesServedTraces, mlaas-trace over a served trace export), the
 # race detector over the concurrency-bearing packages (telemetry, service,
 # client, wire, store, cluster, the parallel sweep engine in
-# core/pipeline/platforms, and the pooled predict scratch in classifiers), a
-# one-iteration kernel-benchmark smoke, a wire smoke (binary-vs-JSON equivalence over a live server,
+# core/pipeline/platforms, and the pooled predict scratch and tree-fit
+# memory in classifiers), a one-iteration kernel-benchmark smoke, a wire
+# smoke (binary-vs-JSON equivalence over a live server,
 # concurrent clients over both codecs with the model cache off and on, and
 # the decoder fuzz seed corpus), a store smoke, a perf-tracking smoke
 # (mlaas-perf run/compare/report against perf/results/), a cluster smoke
@@ -45,12 +46,13 @@ test:
 # whole analysis suite re-runs the shared 8-dataset sweep under the race
 # detector, which triples check time without exercising new interleavings.
 # classifiers and linalg likewise race only what shares state between
-# predicts: the pooled forward-pass scratch (kNN heaps and survivor cells
-# reused across tiles, MLP row blocks) and the kernels that fill it.
+# calls: the pooled forward-pass scratch (kNN heaps and survivor cells
+# reused across tiles, MLP row blocks) and the kernels that fill it, and the
+# pooled growth memory of tree-family fits.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run 'TestParallel|TestSweepCancellation' ./internal/core
-	$(GO) test -race -run 'TestPredict|TestKNN|TestSquaredEuclidean|TestPresort' ./internal/classifiers ./internal/linalg
+	$(GO) test -race -run 'TestPredict|TestKNN|TestSquaredEuclidean|TestPresort|TestPooledTreeFitsByteIdentical' ./internal/classifiers ./internal/linalg
 
 check: fmt vet test race bench-kernels wire-smoke store-smoke perf-smoke cluster-smoke bench-e2e-smoke no-strays
 

@@ -663,7 +663,7 @@ func TestGrowTreeRepeatedRowsMatchExpandedRows(t *testing.T) {
 		xe, te := expandRows(x, target, idx)
 		for _, cfg := range cfgs {
 			got := growTreePresorted(presortFeatures(x), &treeMem{}, x, target, idx, cfg, rng.New(seed), 0)
-			want := growTreePresorted(presortFeatures(xe), &treeMem{}, xe, te, allIndices(len(xe)), cfg, rng.New(seed), 0)
+			want := growTreePresorted(presortFeatures(xe), &treeMem{}, xe, te, allIndices(nil, len(xe)), cfg, rng.New(seed), 0)
 			if got.feature < 0 {
 				t.Fatalf("seed %d %+v: root did not split", seed, cfg)
 			}
@@ -693,7 +693,7 @@ func TestGrowTreeRepeatedRowsNonLabelTargets(t *testing.T) {
 			{criterion: "gini", minLeaf: 3, nodeThreshold: 9, maxDepth: 2, randomSplits: 4},
 		} {
 			got := growTreePresorted(presortFeatures(x), &treeMem{}, x, target, idx, cfg, rng.New(seed), 0)
-			want := growTreePresorted(presortFeatures(xe), &treeMem{}, xe, te, allIndices(len(xe)), cfg, rng.New(seed), 0)
+			want := growTreePresorted(presortFeatures(xe), &treeMem{}, xe, te, allIndices(nil, len(xe)), cfg, rng.New(seed), 0)
 			if got.feature < 0 {
 				t.Fatalf("seed %d %+v: root did not split", seed, cfg)
 			}

@@ -79,14 +79,15 @@ func (b *BoostedTrees) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Preso
 	p0 := (float64(pos) + 0.5) / (float64(n) + 1)
 	b.bias = math.Log(p0 / (1 - p0))
 
-	score := make([]float64, n)
+	pre := p.of(x) // shared across rounds; residuals change, x doesn't
+	mem := getTreeMem()
+	mem.score = sized(mem.score, n)
+	mem.target = sized(mem.target, n)
+	mem.boot = allIndices(mem.boot, n)
+	score, residual, idx := mem.score, mem.target, mem.boot
 	for i := range score {
 		score[i] = b.bias
 	}
-	residual := make([]float64, n)
-	idx := allIndices(n)
-	pre := p.of(x) // shared across rounds; residuals change, x doesn't
-	mem := &treeMem{}
 	b.trees = make([]*treeNode, 0, rounds)
 	for round := 0; round < rounds; round++ {
 		// Negative gradient of logistic loss: y - sigmoid(score).
@@ -99,6 +100,7 @@ func (b *BoostedTrees) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Preso
 			score[i] += b.lr * tree.predict(x[i])
 		}
 	}
+	putTreeMem(mem)
 	return nil
 }
 

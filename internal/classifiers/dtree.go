@@ -43,7 +43,11 @@ func (t *DecisionTree) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Preso
 		criterion:     t.params.String("criterion", "gini"),
 		nodeThreshold: t.params.Int("node_threshold", 2),
 	}
-	t.root = growTreePresorted(p.of(x), &treeMem{}, x, labelsToFloats(y), allIndices(len(x)), cfg, r, 0)
+	mem := getTreeMem()
+	mem.target = labelsToFloats(mem.target, y)
+	mem.boot = allIndices(mem.boot, len(x))
+	t.root = growTreePresorted(p.of(x), mem, x, mem.target, mem.boot, cfg, r, 0)
+	putTreeMem(mem)
 	return nil
 }
 

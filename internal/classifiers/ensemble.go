@@ -50,7 +50,6 @@ func (b *Bagging) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Presort) e
 		return err
 	}
 	n := len(x)
-	target := labelsToFloats(y)
 	count := b.params.Int("n_estimators", 10)
 	if count < 1 {
 		count = 1
@@ -63,12 +62,14 @@ func (b *Bagging) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Presort) e
 		nodeThreshold: b.params.Int("node_threshold", 2),
 	}
 	pre := p.of(x)
-	mem := &treeMem{}
+	mem := getTreeMem()
+	mem.target = labelsToFloats(mem.target, y)
 	b.trees = make([]*treeNode, count)
 	for t := 0; t < count; t++ {
 		mem.boot = bootstrapIndices(mem.boot, n, r)
-		b.trees[t] = growTreePresorted(pre, mem, x, target, mem.boot, cfg, r, 0)
+		b.trees[t] = growTreePresorted(pre, mem, x, mem.target, mem.boot, cfg, r, 0)
 	}
+	putTreeMem(mem)
 	return nil
 }
 
@@ -99,7 +100,6 @@ func (f *RandomForest) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Preso
 		return err
 	}
 	n := len(x)
-	target := labelsToFloats(y)
 	count := f.params.Int("n_estimators", 10)
 	if count < 1 {
 		count = 1
@@ -116,20 +116,19 @@ func (f *RandomForest) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Preso
 	}
 	replicate := f.params.String("resampling", "bagging") == "replicate"
 	pre := p.of(x)
-	mem := &treeMem{}
-	var all []int
+	mem := getTreeMem()
+	mem.target = labelsToFloats(mem.target, y)
 	if replicate {
-		all = allIndices(n) // every tree sees the full data; diversity comes from feature sampling
+		mem.boot = allIndices(mem.boot, n) // every tree sees the full data; diversity comes from feature sampling
 	}
 	f.trees = make([]*treeNode, count)
 	for t := 0; t < count; t++ {
-		idx := all
 		if !replicate {
 			mem.boot = bootstrapIndices(mem.boot, n, r)
-			idx = mem.boot
 		}
-		f.trees[t] = growTreePresorted(pre, mem, x, target, idx, cfg, r, 0)
+		f.trees[t] = growTreePresorted(pre, mem, x, mem.target, mem.boot, cfg, r, 0)
 	}
+	putTreeMem(mem)
 	return nil
 }
 

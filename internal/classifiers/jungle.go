@@ -1,9 +1,9 @@
 package classifiers
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"mlaasbench/internal/rng"
 )
@@ -25,10 +25,13 @@ func init() {
 // DecisionJungle implements decision jungles (Shotton et al. 2013) —
 // Microsoft's memory-bounded alternative to forests: an ensemble of rooted
 // decision DAGs whose per-level width is capped, forcing nodes to merge.
-// Training grows each DAG level-by-level: nodes split greedily as in CART,
-// then the level's children are merged down to max_width by repeatedly
-// joining the pair of nodes whose union least increases impurity
-// (opt_steps controls how many merge-refinement passes run per level).
+// Each DAG grows level by level over its own bootstrap sample. A node
+// splits greedily as in CART: of √d sampled features, each tried at
+// 4 × opt_steps random thresholds, it takes the best split under gini.
+// While a level has more than max_width children, the two child groups
+// with the closest class-1 rates merge (mostSimilarPair). Shotton et al.'s
+// LSearch, which re-chooses a level's splits and child assignments jointly
+// to minimise its weighted entropy, is not implemented.
 type DecisionJungle struct {
 	params Params
 	dags   []*dagModel
@@ -55,41 +58,39 @@ func (j *DecisionJungle) Fit(x [][]float64, y []int, r *rng.RNG) error {
 	if err != nil {
 		return err
 	}
-	nDags := j.params.Int("n_dags", 8)
-	if nDags < 1 {
-		nDags = 1
-	}
-	target := labelsToFloats(y)
-	mem := &dagMem{}
+	nDags := max(j.params.Int("n_dags", 8), 1)
+	mem := getDagMem()
+	mem.target = labelsToFloats(mem.target, y)
 	j.dags = make([]*dagModel, nDags)
 	for t := 0; t < nDags; t++ {
 		mem.boot = bootstrapIndices(mem.boot, n, r)
-		j.dags[t] = j.growDAG(x, target, mem.boot, r, mem)
+		j.dags[t] = j.growDAG(x, mem.target, mem.boot, r, mem)
 	}
+	putDagMem(mem)
 	return nil
 }
 
-// dagMem is a jungle fit's reusable split storage, allocated once per Fit
-// and shared by its DAGs: no DAG it grows references it. Of treeMem it uses
+// dagMem is a jungle fit's growth storage, taken from dagMemPool and shared
+// by its DAGs: no DAG it grows references it. Of treeMem it uses target,
 // boot (the DAG's bootstrap sample), cand (a node's candidate features) and
 // thr (a feature's random thresholds).
 type dagMem struct {
 	treeMem
-	below    []int // per bucket, the members in it (see split)
-	posBelow []int // per bucket, the positive members in it
+	below    []int       // per bucket, the members in it (see split)
+	posBelow []int       // per bucket, the positive members in it
+	children []int       // a level's child groups, one after another
+	merged   []int       // its merged child groups, one after another
+	members  []int       // the next level's groups, one after another
+	cur, nxt [][]int     // the groups of a level and of its children
+	levels   [][]dagNode // the DAG's levels while it grows
+	rates    []groupRate // mostSimilarPair's sorted rates
 }
 
 // growDAG builds one width-limited DAG over the (multi)set idx of rows.
 func (j *DecisionJungle) growDAG(x [][]float64, target []float64, idx []int, r *rng.RNG, mem *dagMem) *dagModel {
 	maxDepth := j.params.Int("max_depth", 8)
-	maxWidth := j.params.Int("max_width", 16)
-	optSteps := j.params.Int("opt_steps", 2)
-	if maxWidth < 2 {
-		maxWidth = 2
-	}
-	if optSteps < 1 {
-		optSteps = 1
-	}
+	maxWidth := max(j.params.Int("max_width", 16), 2)
+	optSteps := max(j.params.Int("opt_steps", 2), 1)
 	k := 4 * optSteps // random thresholds per candidate feature
 	d := len(x[0])
 	nFeat := treeConfig{maxFeatures: "sqrt"}.featureCount(d)
@@ -97,16 +98,19 @@ func (j *DecisionJungle) growDAG(x [][]float64, target []float64, idx []int, r *
 	mem.thr = sized(mem.thr, k)
 	mem.below = sized(mem.below, k+1)
 	mem.posBelow = sized(mem.posBelow, k+1)
+	mem.children = sized(mem.children, len(idx))
+	mem.members = sized(mem.members, len(idx))
 
-	dag := &dagModel{}
-	// current holds, for each live node of the level, the sample indices
-	// routed to it.
-	current := [][]int{idx}
+	// cur holds, for each live node of the level, the sample indices routed
+	// to it; nxt the same for the level's children.
+	cur, nxt, levels := append(mem.cur[:0], idx), mem.nxt, mem.levels[:0]
+	splitAny := false // whether the last level grown has children
 	for depth := 0; depth < maxDepth; depth++ {
-		level := make([]dagNode, len(current))
-		var nextGroups [][]int
-		splitAny := false
-		for ni, group := range current {
+		level := make([]dagNode, len(cur))
+		nxt = nxt[:0]
+		used := 0 // children filled so far
+		splitAny = false
+		for ni, group := range cur {
 			node := dagNode{feature: -1, value: meanAt(target, group)}
 			if len(group) >= 4 && !pureAt(target, group) {
 				// Greedy split: evaluate sampled features/thresholds.
@@ -134,9 +138,10 @@ func (j *DecisionJungle) growDAG(x [][]float64, target []float64, idx []int, r *
 				if nL == 0 || nL == len(group) {
 					node.feature = -1
 				} else {
-					// Both children's groups in one allocation, left
-					// members first, each in group order.
-					children := make([]int, len(group))
+					// Both children's groups side by side, left members
+					// first, each in group order.
+					children := mem.children[used : used+len(group)]
+					used += len(group)
 					a, b := 0, nL
 					for _, i := range group {
 						if x[i][node.feature] <= node.threshold {
@@ -147,10 +152,10 @@ func (j *DecisionJungle) growDAG(x [][]float64, target []float64, idx []int, r *
 							b++
 						}
 					}
-					node.left = len(nextGroups)
-					nextGroups = append(nextGroups, children[:nL:nL])
-					node.right = len(nextGroups)
-					nextGroups = append(nextGroups, children[nL:])
+					node.left = len(nxt)
+					nxt = append(nxt, children[:nL:nL])
+					node.right = len(nxt)
+					nxt = append(nxt, children[nL:])
 					splitAny = true
 				}
 			}
@@ -159,49 +164,48 @@ func (j *DecisionJungle) growDAG(x [][]float64, target []float64, idx []int, r *
 			}
 			level[ni] = node
 		}
-		dag.levels = append(dag.levels, level)
+		levels = append(levels, level)
 		if !splitAny {
 			break
 		}
 		// Width limiting: merge most-similar child groups until ≤ maxWidth.
-		for len(nextGroups) > maxWidth {
-			a, b := mostSimilarPair(nextGroups, target)
-			merged := append(append([]int(nil), nextGroups[a]...), nextGroups[b]...)
-			// Remap child pointers: b → a, and shift everything past b.
+		mem.merged = mem.merged[:0]
+		for len(nxt) > maxWidth {
+			a, b := mem.mostSimilarPair(nxt, target)
+			start := len(mem.merged)
+			mem.merged = append(append(mem.merged, nxt[a]...), nxt[b]...)
+			// Remap child pointers: b → a, everything past b down one.
 			for ni := range level {
-				remap := func(p int) int {
-					switch {
-					case p == b:
-						return a
-					case p > b:
-						return p - 1
-					default:
-						return p
+				for _, p := range [2]*int{&level[ni].left, &level[ni].right} {
+					if *p == b {
+						*p = a
+					} else if *p > b {
+						*p--
 					}
 				}
-				if level[ni].feature >= 0 {
-					level[ni].left = remap(level[ni].left)
-					level[ni].right = remap(level[ni].right)
-				}
 			}
-			nextGroups[a] = merged
-			nextGroups = append(nextGroups[:b], nextGroups[b+1:]...)
+			nxt[a] = mem.merged[start:len(mem.merged):len(mem.merged)]
+			nxt = append(nxt[:b], nxt[b+1:]...)
 		}
-		current = nextGroups
-	}
-	// Terminal level: force leaves.
-	last := len(dag.levels) - 1
-	if last >= 0 {
-		// If the loop exited by depth, current still holds unprocessed
-		// groups — append them as a pure leaf level.
-		if len(current) > 0 && dagHasOpenChildren(dag.levels[last]) {
-			leafLevel := make([]dagNode, len(current))
-			for ni, group := range current {
-				leafLevel[ni] = dagNode{feature: -1, left: -1, right: -1, value: meanAt(target, group)}
-			}
-			dag.levels = append(dag.levels, leafLevel)
+		// Compact the next level's groups: splitting it rewrites children.
+		cur, used = cur[:0], 0
+		for _, g := range nxt {
+			cur = append(cur, mem.members[used:used+copy(mem.members[used:], g)])
+			used += len(g)
 		}
 	}
+	// Terminal level: if the loop exited by depth with children open, cur
+	// holds their unprocessed groups — append them as a pure leaf level.
+	if splitAny {
+		leafLevel := make([]dagNode, len(cur))
+		for ni, group := range cur {
+			leafLevel[ni] = dagNode{feature: -1, left: -1, right: -1, value: meanAt(target, group)}
+		}
+		levels = append(levels, leafLevel)
+	}
+	dag := &dagModel{levels: slices.Clone(levels)}
+	clear(levels) // the pooled mem must not pin the model
+	mem.cur, mem.nxt, mem.levels = cur, nxt, levels
 	return dag
 }
 
@@ -260,28 +264,24 @@ func (m *dagMem) split(x [][]float64, target []float64, group []int, f, pos, k i
 	return threshold, best, ok
 }
 
-func dagHasOpenChildren(level []dagNode) bool {
-	for _, n := range level {
-		if n.feature >= 0 {
-			return true
-		}
-	}
-	return false
+// groupRate is a child group's index and class-1 rate.
+type groupRate struct {
+	idx int
+	p   float64
 }
 
 // mostSimilarPair returns the two group indices whose class-1 rates are
-// closest — the cheap merge criterion standing in for the paper's
-// impurity-increase minimization.
-func mostSimilarPair(groups [][]int, target []float64) (int, int) {
-	type rate struct {
-		idx int
-		p   float64
-	}
-	rates := make([]rate, len(groups))
+// closest — the cheap merge criterion standing in for LSearch's joint
+// level optimisation. The rates are sorted in m.rates.
+func (m *dagMem) mostSimilarPair(groups [][]int, target []float64) (int, int) {
+	m.rates = sized(m.rates, len(groups))
+	rates := m.rates
 	for i, g := range groups {
-		rates[i] = rate{idx: i, p: meanAt(target, g)}
+		rates[i] = groupRate{idx: i, p: meanAt(target, g)}
 	}
-	sort.Slice(rates, func(a, b int) bool { return rates[a].p < rates[b].p })
+	// The same pdqsort as sort.Slice with less rates[a].p < rates[b].p
+	// (rates are never NaN), so tied rates order as they did under it.
+	slices.SortFunc(rates, func(a, b groupRate) int { return cmp.Compare(a.p, b.p) })
 	bestA, bestB := rates[0].idx, rates[1].idx
 	bestGap := math.Inf(1)
 	for i := 1; i < len(rates); i++ {
@@ -290,10 +290,7 @@ func mostSimilarPair(groups [][]int, target []float64) (int, int) {
 			bestA, bestB = rates[i-1].idx, rates[i].idx
 		}
 	}
-	if bestA > bestB {
-		bestA, bestB = bestB, bestA
-	}
-	return bestA, bestB
+	return min(bestA, bestB), max(bestA, bestB)
 }
 
 // Predict implements Classifier.

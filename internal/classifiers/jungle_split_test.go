@@ -3,6 +3,7 @@ package classifiers
 import (
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"mlaasbench/internal/rng"
@@ -130,5 +131,34 @@ func TestJungleSplitMatchesSortedScan(t *testing.T) {
 	}
 	if found == 0 || none == 0 {
 		t.Fatalf("cases with a split: %d, without: %d; want both", found, none)
+	}
+}
+
+// mostSimilarPair sorts its rates with slices.SortFunc where it once called
+// sort.Slice with less rates[a].p < rates[b].p. Both run the same pdqsort,
+// so rates that tie (every pure group's is 0 or 1) must keep their order:
+// the merge chosen, and so the DAG, depends on it. Checked over slices of
+// 2 to 80 rates drawn from few values, the size of a level's children.
+func TestMostSimilarPairSortsAsSortSlice(t *testing.T) {
+	r := rng.New(11)
+	values := []float64{0, 1, 0.5, 0.25, 1.0 / 3}
+	mem := &dagMem{}
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + r.Intn(79)
+		groups := make([][]int, n)
+		target := make([]float64, 0, n)
+		for i := range groups {
+			target = append(target, values[r.Intn(len(values))])
+			groups[i] = []int{i}
+		}
+		want := make([]groupRate, n)
+		for i := range want {
+			want[i] = groupRate{idx: i, p: target[i]}
+		}
+		sort.Slice(want, func(a, b int) bool { return want[a].p < want[b].p })
+		mem.mostSimilarPair(groups, target)
+		if !slices.Equal(mem.rates, want) {
+			t.Fatalf("trial %d: rates sorted as %v, sort.Slice gives %v", trial, mem.rates, want)
+		}
 	}
 }

@@ -54,10 +54,9 @@ func (l *LDA) Fit(x [][]float64, y []int, _ *rng.RNG) error {
 		}
 		return nil
 	}
-	m0 := linalg.ColumnMeans(linalg.FromRows(rows[0]))
-	m1 := linalg.ColumnMeans(linalg.FromRows(rows[1]))
-	c0 := linalg.Covariance(linalg.FromRows(rows[0]), m0)
-	c1 := linalg.Covariance(linalg.FromRows(rows[1]), m1)
+	x0, x1 := linalg.FromRows(rows[0]), linalg.FromRows(rows[1])
+	m0, m1 := linalg.ColumnMeans(x0), linalg.ColumnMeans(x1)
+	c0, c1 := linalg.Covariance(x0, m0), linalg.Covariance(x1, m1)
 	pooled := linalg.NewMatrix(d, d)
 	w0 := float64(len(rows[0])) / float64(n)
 	w1 := float64(len(rows[1])) / float64(n)

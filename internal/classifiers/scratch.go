@@ -71,3 +71,47 @@ func putKNNScratch(s *knnScratch) {
 		knnScratchPool.Put(s)
 	}
 }
+
+// maxPooledFitBytes caps the growth memory the fit pools keep per mem
+// (4 MiB): a fit on a larger matrix leaves its mem to the collector instead
+// of pinning it per P.
+const maxPooledFitBytes = 4 << 20
+
+// treeMemPool and dagMemPool recycle the growth memory of tree-family fits
+// (treeMem, dagMem), so a fit allocates only the model it returns. A fit
+// takes one mem and returns it on a normal return only, never through a
+// defer: a fit that panics may leave treeMem.counts non-zero, and its mem
+// is dropped.
+var (
+	treeMemPool = sync.Pool{New: func() any { return new(treeMem) }}
+	dagMemPool  = sync.Pool{New: func() any { return new(dagMem) }}
+)
+
+func getTreeMem() *treeMem { return treeMemPool.Get().(*treeMem) }
+
+// bytes is the memory m holds, the size putTreeMem caps.
+func (m *treeMem) bytes() int {
+	return 8*(cap(m.counts)+cap(m.cand)+cap(m.thr)+cap(m.boot)+cap(m.target)+cap(m.score)) +
+		4*(cap(m.ordersBuf)+cap(m.scratch)+cap(m.own)) + cap(m.side)
+}
+
+func putTreeMem(m *treeMem) {
+	if m.bytes() <= maxPooledFitBytes {
+		treeMemPool.Put(m)
+	}
+}
+
+func getDagMem() *dagMem { return dagMemPool.Get().(*dagMem) }
+
+// bytes is the memory m holds, the size putDagMem caps.
+func (m *dagMem) bytes() int {
+	return m.treeMem.bytes() +
+		8*(cap(m.below)+cap(m.posBelow)+cap(m.children)+cap(m.merged)+cap(m.members)) +
+		24*(cap(m.cur)+cap(m.nxt)+cap(m.levels)) + 16*cap(m.rates)
+}
+
+func putDagMem(m *dagMem) {
+	if m.bytes() <= maxPooledFitBytes {
+		dagMemPool.Put(m)
+	}
+}

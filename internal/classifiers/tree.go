@@ -137,13 +137,14 @@ func FitWith(clf Classifier, x [][]float64, y []int, r *rng.RNG, p *Presort) err
 	return clf.Fit(x, y, r)
 }
 
-// treeMem is reusable growth storage. A tree learner's Fit allocates one and
-// passes it to every growTreePresorted call, so the working memory of
-// growth (the derived orders, membership copies, partition staging, the
-// candidate list and random thresholds of a split, the bootstrap sample) is
-// allocated once per Fit instead of once per tree or per node. The tree
-// returned by a call does not reference the memory, so reuse across trees
-// is safe.
+// treeMem is reusable growth storage. A tree learner's Fit takes one from
+// treeMemPool and passes it to every growTreePresorted call, so the working
+// memory of a fit (its targets and index lists, the derived orders,
+// membership copies, partition staging, the candidate list and random
+// thresholds of a split) is allocated once per fit size, not once per fit,
+// tree or node. The tree returned by a call does not reference the memory,
+// so reuse across trees and fits is safe. Between fits every cell of counts
+// is zero; every other buffer is written before it is read.
 type treeMem struct {
 	counts    []int
 	ordersBuf []int32
@@ -152,7 +153,9 @@ type treeMem struct {
 	side      []byte
 	cand      []int
 	thr       []float64
-	boot      []int
+	boot      []int     // the tree's sample: a bootstrap draw or every row
+	target    []float64 // the fit's targets: its 0/1 labels, or boosting's residuals
+	score     []float64 // boosting's running scores
 }
 
 // sized returns s resliced to length n, or a new slice when s is too short.
@@ -675,9 +678,10 @@ func zeroOne(target []float64, idx []int) bool {
 	return true
 }
 
-// allIndices returns [0, n).
-func allIndices(n int) []int {
-	idx := make([]int, n)
+// allIndices returns [0, n) in buf, or in a new slice when buf is too
+// short.
+func allIndices(buf []int, n int) []int {
+	idx := sized(buf, n)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -694,9 +698,10 @@ func bootstrapIndices(buf []int, n int, r *rng.RNG) []int {
 	return idx
 }
 
-// labelsToFloats converts 0/1 ints to floats for the tree engine.
-func labelsToFloats(y []int) []float64 {
-	out := make([]float64, len(y))
+// labelsToFloats converts 0/1 ints to floats for the tree engine, into buf
+// or into a new slice when buf is too short.
+func labelsToFloats(buf []float64, y []int) []float64 {
+	out := sized(buf, len(y))
 	for i, v := range y {
 		out[i] = float64(v)
 	}
