@@ -27,7 +27,7 @@ func TestLogRegRecoversDirection(t *testing.T) {
 		}
 	}
 	for _, solver := range []string{"sgd", "newton"} {
-		clf := &LogisticRegression{params: Params{"solver": solver, "max_iter": 200}}
+		clf := &LogisticRegression{params: bound("logreg", Params{"solver": solver, "max_iter": 200})}
 		if err := clf.Fit(x, y, rng.New(2)); err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestLogRegL1SparserThanL2(t *testing.T) {
 		}
 	}
 	mass := func(penalty string) float64 {
-		clf := &LogisticRegression{params: Params{"penalty": penalty, "C": 0.05, "max_iter": 100}}
+		clf := &LogisticRegression{params: bound("logreg", Params{"penalty": penalty, "C": 0.05, "max_iter": 100})}
 		if err := clf.Fit(x, y, rng.New(4)); err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestLogRegFitInterceptFalse(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}, {4}}
 	y := []int{0, 0, 1, 1}
 	for _, solver := range []string{"sgd", "newton"} {
-		clf := &LogisticRegression{params: Params{"fit_intercept": "false", "solver": solver}}
+		clf := &LogisticRegression{params: bound("logreg", Params{"fit_intercept": "false", "solver": solver})}
 		if err := clf.Fit(x, y, rng.New(5)); err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestNaiveBayesLearnsClassStatistics(t *testing.T) {
 		x = append(x, []float64{r.Normal(float64(cls)*5, 1)})
 		y = append(y, cls)
 	}
-	nb := &NaiveBayes{params: Params{}}
+	nb := &NaiveBayes{params: bound("naivebayes", Params{})}
 	if err := nb.Fit(x, y, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestNaiveBayesUniformPriorShiftsImbalanced(t *testing.T) {
 		y = append(y, cls)
 	}
 	predAt := func(prior string, v float64) int {
-		nb := &NaiveBayes{params: Params{"prior": prior}}
+		nb := &NaiveBayes{params: bound("naivebayes", Params{"prior": prior})}
 		if err := nb.Fit(x, y, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestNaiveBayesUniformPriorShiftsImbalanced(t *testing.T) {
 func TestKNNOneNeighborMemorizes(t *testing.T) {
 	x := [][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
 	y := []int{0, 1, 0, 1}
-	knn := &KNN{params: Params{"n_neighbors": 1}}
+	knn := &KNN{params: bound("knn", Params{"n_neighbors": 1})}
 	if err := knn.Fit(x, y, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +163,9 @@ func TestKNNDistanceWeighting(t *testing.T) {
 	// class-1 point dominate.
 	x := [][]float64{{0}, {1}, {2}}
 	y := []int{1, 0, 0}
-	uniform := &KNN{params: Params{"n_neighbors": 3, "weights": "uniform"}}
+	uniform := &KNN{params: bound("knn", Params{"n_neighbors": 3, "weights": "uniform"})}
 	_ = uniform.Fit(x, y, nil)
-	weighted := &KNN{params: Params{"n_neighbors": 3, "weights": "distance"}}
+	weighted := &KNN{params: bound("knn", Params{"n_neighbors": 3, "weights": "distance"})}
 	_ = weighted.Fit(x, y, nil)
 	q := [][]float64{{0.1}}
 	if uniform.Predict(q)[0] != 0 {
@@ -185,7 +185,7 @@ func TestDecisionTreeDepthLimit(t *testing.T) {
 		y = append(y, r.Intn(2))
 	}
 	for _, depth := range []int{1, 2, 4} {
-		dt := &DecisionTree{params: Params{"max_depth": depth}}
+		dt := &DecisionTree{params: bound("dtree", Params{"max_depth": depth})}
 		if err := dt.Fit(x, y, rng.New(9)); err != nil {
 			t.Fatal(err)
 		}
@@ -203,9 +203,9 @@ func TestDecisionTreeNodeThresholdStopsEarly(t *testing.T) {
 		x = append(x, []float64{r.NormFloat64()})
 		y = append(y, r.Intn(2))
 	}
-	big := &DecisionTree{params: Params{"node_threshold": 90, "max_depth": 30}}
+	big := &DecisionTree{params: bound("dtree", Params{"node_threshold": 90, "max_depth": 30})}
 	_ = big.Fit(x, y, rng.New(11))
-	small := &DecisionTree{params: Params{"node_threshold": 2, "max_depth": 30}}
+	small := &DecisionTree{params: bound("dtree", Params{"node_threshold": 2, "max_depth": 30})}
 	_ = small.Fit(x, y, rng.New(11))
 	if big.Depth() >= small.Depth() {
 		t.Fatalf("node_threshold=90 depth %d should be shallower than threshold=2 depth %d", big.Depth(), small.Depth())
@@ -216,7 +216,7 @@ func TestBoostingImprovesWithRounds(t *testing.T) {
 	xTr, yTr := makeCircles(300, 12)
 	xTe, yTe := makeCircles(150, 13)
 	accAt := func(rounds int) float64 {
-		bst := &BoostedTrees{params: Params{"n_estimators": rounds, "max_leaves": 4}}
+		bst := &BoostedTrees{params: bound("boosted", Params{"n_estimators": rounds, "max_leaves": 4})}
 		if err := bst.Fit(xTr, yTr, rng.New(14)); err != nil {
 			t.Fatal(err)
 		}
@@ -252,9 +252,9 @@ func TestRandomForestBeatsSingleTreeOnNoise(t *testing.T) {
 	xTr, yTr := makeNoisy(300, 16)
 	xTe, yTe := makeNoisy(200, 17)
 	_ = r
-	tree := &DecisionTree{params: Params{"max_depth": 30}}
+	tree := &DecisionTree{params: bound("dtree", Params{"max_depth": 30})}
 	_ = tree.Fit(xTr, yTr, rng.New(18))
-	forest := &RandomForest{params: Params{"n_estimators": 30}}
+	forest := &RandomForest{params: bound("randomforest", Params{"n_estimators": 30})}
 	_ = forest.Fit(xTr, yTr, rng.New(18))
 	accTree := accuracy(yTe, tree.Predict(xTe))
 	accForest := accuracy(yTe, forest.Predict(xTe))
@@ -265,7 +265,7 @@ func TestRandomForestBeatsSingleTreeOnNoise(t *testing.T) {
 
 func TestBaggingUsesBootstrapDiversity(t *testing.T) {
 	xTr, yTr := makeCircles(200, 19)
-	bag := &Bagging{params: Params{"n_estimators": 10}}
+	bag := &Bagging{params: bound("bagging", Params{"n_estimators": 10})}
 	if err := bag.Fit(xTr, yTr, rng.New(20)); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestMLPSolversAndActivationsLearn(t *testing.T) {
 	xTe, yTe := makeXOR(150, 22)
 	for _, solver := range []string{"adam", "sgd"} {
 		for _, act := range []string{"relu", "tanh", "logistic"} {
-			mlp := &MLP{params: Params{"solver": solver, "activation": act, "max_iter": 80, "hidden": 16}}
+			mlp := &MLP{params: bound("mlp", Params{"solver": solver, "activation": act, "max_iter": 80, "hidden": 16})}
 			if err := mlp.Fit(xTr, yTr, rng.New(23)); err != nil {
 				t.Fatal(err)
 			}
@@ -322,9 +322,9 @@ func TestAveragedPerceptronMoreStableThanFinal(t *testing.T) {
 		x = append(x, []float64{a, b})
 		y = append(y, cls)
 	}
-	p1 := &AveragedPerceptron{params: Params{}}
+	p1 := &AveragedPerceptron{params: bound("perceptron", Params{})}
 	_ = p1.Fit(x, y, rng.New(25))
-	p2 := &AveragedPerceptron{params: Params{}}
+	p2 := &AveragedPerceptron{params: bound("perceptron", Params{})}
 	_ = p2.Fit(x, y, rng.New(26))
 	agree := 0
 	probe := [][]float64{}
@@ -345,7 +345,7 @@ func TestAveragedPerceptronMoreStableThanFinal(t *testing.T) {
 func TestBPMCommitteeAverages(t *testing.T) {
 	xTr, yTr := makeLinear(200, 27)
 	xTe, yTe := makeLinear(100, 28)
-	bpm := &BayesPointMachine{params: Params{"n_iter": 20}}
+	bpm := &BayesPointMachine{params: bound("bpm", Params{"n_iter": 20})}
 	if err := bpm.Fit(xTr, yTr, rng.New(29)); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestBPMCommitteeAverages(t *testing.T) {
 
 func TestJungleWidthBoundRespected(t *testing.T) {
 	xTr, yTr := makeCircles(300, 30)
-	dj := &DecisionJungle{params: Params{"n_dags": 4, "max_depth": 10, "max_width": 4}}
+	dj := &DecisionJungle{params: bound("jungle", Params{"n_dags": 4, "max_depth": 10, "max_width": 4})}
 	if err := dj.Fit(xTr, yTr, rng.New(31)); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestJungleWidthBoundRespected(t *testing.T) {
 
 func TestJungleChildPointersValid(t *testing.T) {
 	xTr, yTr := makeXOR(250, 32)
-	dj := &DecisionJungle{params: Params{"n_dags": 6, "max_depth": 8, "max_width": 6}}
+	dj := &DecisionJungle{params: bound("jungle", Params{"n_dags": 6, "max_depth": 8, "max_width": 6})}
 	if err := dj.Fit(xTr, yTr, rng.New(33)); err != nil {
 		t.Fatal(err)
 	}
@@ -407,19 +407,19 @@ func TestTreeLearnersFitBelowParamMinimum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := &RandomForest{params: Params{"n_estimators": 4, "random_splits": 0}}
+	want := &RandomForest{params: bound("randomforest", Params{"n_estimators": 4, "random_splits": 0})}
 	fit(want)
 	for _, splits := range []int{-1, -40} {
-		got := &RandomForest{params: Params{"n_estimators": 4, "random_splits": splits}}
+		got := &RandomForest{params: bound("randomforest", Params{"n_estimators": 4, "random_splits": splits})}
 		fit(got)
 		if !reflect.DeepEqual(got.trees, want.trees) {
 			t.Fatalf("random_splits %d: forest differs from random_splits 0", splits)
 		}
 	}
-	wantDJ := &DecisionJungle{params: Params{"n_dags": 3, "opt_steps": 1}}
+	wantDJ := &DecisionJungle{params: bound("jungle", Params{"n_dags": 3, "opt_steps": 1})}
 	fit(wantDJ)
 	for _, steps := range []int{0, -1} {
-		got := &DecisionJungle{params: Params{"n_dags": 3, "opt_steps": steps}}
+		got := &DecisionJungle{params: bound("jungle", Params{"n_dags": 3, "opt_steps": steps})}
 		fit(got)
 		if !reflect.DeepEqual(got.dags, wantDJ.dags) {
 			t.Fatalf("opt_steps %d: jungle differs from opt_steps 1", steps)
@@ -431,7 +431,7 @@ func TestSVMLossVariantsBothLearn(t *testing.T) {
 	xTr, yTr := makeLinear(200, 34)
 	xTe, yTe := makeLinear(100, 35)
 	for _, loss := range []string{"hinge", "squared_hinge"} {
-		svm := &LinearSVM{params: Params{"loss": loss}}
+		svm := &LinearSVM{params: bound("svm", Params{"loss": loss})}
 		if err := svm.Fit(xTr, yTr, rng.New(36)); err != nil {
 			t.Fatal(err)
 		}
@@ -444,9 +444,9 @@ func TestSVMLossVariantsBothLearn(t *testing.T) {
 func TestLDASolversAgree(t *testing.T) {
 	xTr, yTr := makeLinear(300, 37)
 	xTe, _ := makeLinear(100, 38)
-	lsqr := &LDA{params: Params{"solver": "lsqr"}}
+	lsqr := &LDA{params: bound("lda", Params{"solver": "lsqr"})}
 	_ = lsqr.Fit(xTr, yTr, nil)
-	eigen := &LDA{params: Params{"solver": "eigen"}}
+	eigen := &LDA{params: bound("lda", Params{"solver": "eigen"})}
 	_ = eigen.Fit(xTr, yTr, nil)
 	p1, p2 := lsqr.Predict(xTe), eigen.Predict(xTe)
 	agree := 0
@@ -474,7 +474,7 @@ func TestLDAShrinkageHandlesSingularCovariance(t *testing.T) {
 		x = append(x, []float64{v, v, r.NormFloat64()})
 		y = append(y, cls)
 	}
-	lda := &LDA{params: Params{"shrinkage": "auto"}}
+	lda := &LDA{params: bound("lda", Params{"shrinkage": "auto"})}
 	if err := lda.Fit(x, y, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -497,11 +497,11 @@ func TestDecisionTreeScaleInvariant(t *testing.T) {
 		}
 		return out
 	}
-	a := &DecisionTree{params: Params{}}
+	a := &DecisionTree{params: bound("dtree", Params{})}
 	if err := a.Fit(xTr, yTr, rng.New(52)); err != nil {
 		t.Fatal(err)
 	}
-	b := &DecisionTree{params: Params{}}
+	b := &DecisionTree{params: bound("dtree", Params{})}
 	if err := b.Fit(scale(xTr, 1000), yTr, rng.New(52)); err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestDecisionTreeScaleInvariant(t *testing.T) {
 func TestKNNPermutationInvariant(t *testing.T) {
 	xTr, yTr := makeCircles(150, 53)
 	xTe, _ := makeCircles(60, 54)
-	a := &KNN{params: Params{"n_neighbors": 5}}
+	a := &KNN{params: bound("knn", Params{"n_neighbors": 5})}
 	_ = a.Fit(xTr, yTr, nil)
 	// Permute the training order.
 	perm := rng.New(55).Perm(len(xTr))
@@ -527,7 +527,7 @@ func TestKNNPermutationInvariant(t *testing.T) {
 		px[i] = xTr[j]
 		py[i] = yTr[j]
 	}
-	b := &KNN{params: Params{"n_neighbors": 5}}
+	b := &KNN{params: bound("knn", Params{"n_neighbors": 5})}
 	_ = b.Fit(px, py, nil)
 	pa, pb := a.Predict(xTe), b.Predict(xTe)
 	for i := range pa {

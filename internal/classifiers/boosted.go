@@ -20,7 +20,7 @@ func init() {
 			{Name: "max_features", Kind: Categorical, Options: []any{"all", "sqrt", "log2"}},
 			{Name: "criterion", Kind: Categorical, Options: []any{"mse"}},
 		},
-	}, func(p Params) Classifier { return &BoostedTrees{params: p} })
+	}, func(p params) Classifier { return &BoostedTrees{params: p} })
 }
 
 // BoostedTrees is stochastic gradient boosting (Friedman 2002) with
@@ -29,10 +29,10 @@ func init() {
 // limiting depth to ⌈log2(max_leaves)⌉, mirroring Microsoft's
 // leaves-per-tree control.
 type BoostedTrees struct {
-	params Params
-	trees  []*treeNode
-	lr     float64
-	bias   float64
+	params
+	trees []*treeNode
+	lr    float64
+	bias  float64
 }
 
 // Name implements Classifier.
@@ -48,12 +48,12 @@ func (b *BoostedTrees) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Preso
 	if err != nil {
 		return err
 	}
-	rounds := b.params.Int("n_estimators", 50)
+	rounds := b.params.integer("n_estimators")
 	if rounds < 1 {
 		rounds = 1
 	}
-	b.lr = b.params.Float("learning_rate", 0.1)
-	maxLeaves := b.params.Int("max_leaves", 8)
+	b.lr = b.params.float("learning_rate")
+	maxLeaves := b.params.integer("max_leaves")
 	if maxLeaves < 2 {
 		maxLeaves = 2
 	}
@@ -63,8 +63,8 @@ func (b *BoostedTrees) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Preso
 	}
 	cfg := treeConfig{
 		maxDepth:    depth,
-		minLeaf:     b.params.Int("min_leaf", 2),
-		maxFeatures: b.params.String("max_features", "all"),
+		minLeaf:     b.params.integer("min_leaf"),
+		maxFeatures: b.params.option("max_features"),
 		criterion:   "mse",
 	}
 	if cfg.minLeaf < 1 {

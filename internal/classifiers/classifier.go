@@ -11,6 +11,7 @@ package classifiers
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mlaasbench/internal/rng"
@@ -27,51 +28,14 @@ type Classifier interface {
 	// Predict returns a 0/1 label for each row. Predict must only be
 	// called after a successful Fit.
 	Predict(x [][]float64) []int
+	// Params returns the parameter assignment the classifier was built
+	// with; a name it omits takes its registered default.
+	Params() Params
 }
 
 // Params carries classifier hyperparameters by name. Missing entries fall
-// back to the classifier's documented default.
+// back to the registered spec's default.
 type Params map[string]any
-
-// Float reads a numeric parameter, accepting float64 or int values.
-func (p Params) Float(name string, def float64) float64 {
-	v, ok := p[name]
-	if !ok {
-		return def
-	}
-	switch t := v.(type) {
-	case float64:
-		return t
-	case int:
-		return float64(t)
-	default:
-		return def
-	}
-}
-
-// Int reads an integer parameter (rounding float values).
-func (p Params) Int(name string, def int) int {
-	v, ok := p[name]
-	if !ok {
-		return def
-	}
-	switch t := v.(type) {
-	case int:
-		return t
-	case float64:
-		return int(math.Round(t))
-	default:
-		return def
-	}
-}
-
-// String reads a string parameter.
-func (p Params) String(name, def string) string {
-	if v, ok := p[name].(string); ok {
-		return v
-	}
-	return def
-}
 
 // Clone returns an independent copy of p.
 func (p Params) Clone() Params {
@@ -155,6 +119,38 @@ func (ps ParamSpec) DefaultValue() any {
 	return ps.Default
 }
 
+// Check validates v against the spec and returns it in the spec's
+// canonical type. v is a value as JSON decodes it (a string or a float64)
+// or as a grid holds it (an int). A categorical takes one of its Options; a
+// numeric takes a number in [Min, Max], returned as an int when IsInt (an
+// integral value only) and as a float64 otherwise. A numeric equal to the
+// spec's Default passes even outside [Min, Max]: a platform's own default
+// may lie below the range its grid is clamped to.
+func (ps ParamSpec) Check(v any) (any, error) {
+	if ps.Kind == Categorical {
+		if !slices.Contains(ps.Options, v) {
+			return nil, fmt.Errorf("want one of %v, got %v", ps.Options, v)
+		}
+		return v, nil
+	}
+	f, isNum := v.(float64)
+	if i, ok := v.(int); ok {
+		f, isNum = float64(i), true
+	}
+	inRange := f == ps.Default || (f >= ps.Min && f <= ps.Max)
+	if !isNum || !inRange || (ps.IsInt && f != math.Trunc(f)) {
+		want := "a number"
+		if ps.IsInt {
+			want = "an integer"
+		}
+		return nil, fmt.Errorf("want %s in [%g, %g], got %v", want, ps.Min, ps.Max, v)
+	}
+	if ps.IsInt {
+		return int(f), nil
+	}
+	return f, nil
+}
+
 // Info describes a registered classifier: its identity, linearity family
 // (Table 5) and tunable parameters (local-library surface; platforms expose
 // subsets).
@@ -165,32 +161,82 @@ type Info struct {
 	Params []ParamSpec
 }
 
+// params is a classifier's parameter assignment bound to the specs it was
+// registered with. Every classifier embeds it, so Fit and Predict read a
+// parameter by name alone: a name missing from the assignment reads as its
+// spec's default, and a name with no spec panics.
+type params struct {
+	vals  Params
+	specs []ParamSpec
+}
+
+// Params returns the assignment the classifier was built with.
+func (p params) Params() Params { return p.vals }
+
+func (p params) spec(name string) *ParamSpec {
+	for i := range p.specs {
+		if p.specs[i].Name == name {
+			return &p.specs[i]
+		}
+	}
+	panic("classifiers: no parameter " + name)
+}
+
+// float reads a numeric parameter, accepting float64 or int values.
+func (p params) float(name string) float64 {
+	def := p.spec(name).Default
+	switch t := p.vals[name].(type) {
+	case float64:
+		return t
+	case int:
+		return float64(t)
+	}
+	return def
+}
+
+// integer reads an integer parameter, rounding a float value.
+func (p params) integer(name string) int { return int(math.Round(p.float(name))) }
+
+// option reads a categorical parameter; its default is the first option.
+func (p params) option(name string) string {
+	def := p.spec(name).Options[0].(string)
+	if v, ok := p.vals[name].(string); ok {
+		return v
+	}
+	return def
+}
+
 type entry struct {
 	info Info
-	make func(Params) Classifier
+	make func(params) Classifier
 }
 
 var registry = map[string]entry{}
 
 // register installs a classifier constructor; called from each classifier
 // file's init.
-func register(info Info, make func(Params) Classifier) {
+func register(info Info, make func(params) Classifier) {
 	if _, dup := registry[info.Name]; dup {
 		panic("classifiers: duplicate registration " + info.Name)
 	}
 	registry[info.Name] = entry{info: info, make: make}
 }
 
+// build constructs the entry's classifier bound to p.
+func (e entry) build(p Params) Classifier {
+	return e.make(params{vals: p, specs: e.info.Params})
+}
+
 // New constructs a classifier by registry name with the given parameters.
-func New(name string, params Params) (Classifier, error) {
+func New(name string, p Params) (Classifier, error) {
 	e, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("classifiers: unknown classifier %q", name)
 	}
-	if params == nil {
-		params = Params{}
+	if p == nil {
+		p = Params{}
 	}
-	return e.make(params), nil
+	return e.build(p), nil
 }
 
 // Lookup returns the registry info for a classifier name.

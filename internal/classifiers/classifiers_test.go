@@ -243,10 +243,10 @@ func TestDefaultParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.String("penalty", "") != "l2" {
+	if p["penalty"] != "l2" {
 		t.Fatalf("default penalty %v", p["penalty"])
 	}
-	if p.Float("C", 0) != 1 {
+	if p["C"] != 1.0 {
 		t.Fatalf("default C %v", p["C"])
 	}
 	if _, err := DefaultParams("nope"); err == nil {
@@ -254,24 +254,82 @@ func TestDefaultParams(t *testing.T) {
 	}
 }
 
+// bound binds p to the registered specs of a classifier, as New does.
+func bound(name string, p Params) params {
+	return params{vals: p, specs: registry[name].info.Params}
+}
+
 func TestParamsAccessors(t *testing.T) {
-	p := Params{"a": 2.5, "b": 3, "c": "x", "d": true}
-	if p.Float("a", 0) != 2.5 || p.Float("b", 0) != 3 || p.Float("missing", 7) != 7 {
-		t.Fatal("Float")
+	p := params{
+		vals: Params{"a": 2.5, "b": 3, "c": "x", "d": 7},
+		specs: []ParamSpec{
+			{Name: "a", Kind: Numeric, Default: 1},
+			{Name: "b", Kind: Numeric, Default: 1, IsInt: true},
+			{Name: "c", Kind: Categorical, Options: []any{"y", "x"}},
+			{Name: "d", Kind: Categorical, Options: []any{"z"}},
+			{Name: "missing", Kind: Numeric, Default: 7.4, IsInt: true},
+			{Name: "absent", Kind: Categorical, Options: []any{"w", "v"}},
+		},
 	}
-	if p.Int("a", 0) != 3 || p.Int("b", 0) != 3 || p.Int("missing", 9) != 9 {
-		t.Fatal("Int")
+	if p.float("a") != 2.5 || p.float("b") != 3 || p.float("missing") != 7.4 {
+		t.Fatal("float")
 	}
-	if p.String("c", "") != "x" || p.String("missing", "z") != "z" {
-		t.Fatal("String")
+	if p.integer("a") != 3 || p.integer("b") != 3 || p.integer("missing") != 7 {
+		t.Fatal("integer")
 	}
-	if p.Float("c", 1.5) != 1.5 {
+	if p.option("c") != "x" || p.option("absent") != "w" {
+		t.Fatal("option")
+	}
+	if p.option("d") != "z" {
 		t.Fatal("type-mismatch fallback")
 	}
-	c := p.Clone()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("reading an unregistered name did not panic")
+			}
+		}()
+		p.float("gamma")
+	}()
+	c := p.Params().Clone()
 	c["a"] = 0.0
-	if p.Float("a", 0) != 2.5 {
+	if p.float("a") != 2.5 {
 		t.Fatal("Clone aliases")
+	}
+}
+
+func TestParamSpecCheck(t *testing.T) {
+	cat := ParamSpec{Name: "act", Kind: Categorical, Options: []any{"relu", "tanh"}}
+	num := ParamSpec{Name: "alpha", Kind: Numeric, Default: 1e-4, Min: 1e-8, Max: 10}
+	iter := ParamSpec{Name: "iter", Kind: Numeric, Default: 1, Min: 2, Max: 200, IsInt: true}
+	for _, tc := range []struct {
+		spec ParamSpec
+		in   any
+		want any
+	}{
+		{cat, "tanh", "tanh"},
+		{num, 10.0, 10.0},
+		{num, 2, 2.0},
+		{iter, 200.0, 200},
+		{iter, 7, 7},
+		{iter, 1.0, 1}, // the spec's own default, below Min
+	} {
+		got, err := tc.spec.Check(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("%s.Check(%#v) = %#v, %v; want %#v", tc.spec.Name, tc.in, got, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		spec ParamSpec
+		in   any
+	}{
+		{cat, "foo"}, {cat, 3.0}, {cat, nil},
+		{num, -1.0}, {num, 10.5}, {num, "1"}, {num, math.NaN()}, {num, []any{1.0}},
+		{iter, 0.0}, {iter, 201.0}, {iter, 7.5}, {iter, true},
+	} {
+		if got, err := tc.spec.Check(tc.in); err == nil {
+			t.Errorf("%s.Check(%#v) = %#v, want an error", tc.spec.Name, tc.in, got)
+		}
 	}
 }
 

@@ -13,15 +13,15 @@ func init() {
 			{Name: "max_depth", Kind: Numeric, Default: 10, Min: 1, Max: 64, IsInt: true},
 			{Name: "node_threshold", Kind: Numeric, Default: 2, Min: 2, Max: 1000, IsInt: true},
 		},
-	}, func(p Params) Classifier { return &DecisionTree{params: p} })
+	}, func(p params) Classifier { return &DecisionTree{params: p} })
 }
 
 // DecisionTree is a CART binary decision tree with gini or entropy impurity,
 // optional per-split feature subsampling and BigML's node-threshold stopping
 // rule.
 type DecisionTree struct {
-	params Params
-	root   *treeNode
+	params
+	root *treeNode
 }
 
 // Name implements Classifier.
@@ -37,11 +37,11 @@ func (t *DecisionTree) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Preso
 		return err
 	}
 	cfg := treeConfig{
-		maxDepth:      t.params.Int("max_depth", 10),
+		maxDepth:      t.params.integer("max_depth"),
 		minLeaf:       1,
-		maxFeatures:   t.params.String("max_features", "all"),
-		criterion:     t.params.String("criterion", "gini"),
-		nodeThreshold: t.params.Int("node_threshold", 2),
+		maxFeatures:   t.params.option("max_features"),
+		criterion:     t.params.option("criterion"),
+		nodeThreshold: t.params.integer("node_threshold"),
 	}
 	mem := getTreeMem()
 	mem.target = labelsToFloats(mem.target, y)

@@ -12,7 +12,7 @@ func init() {
 			{Name: "max_features", Kind: Categorical, Options: []any{"all", "sqrt", "log2"}},
 			{Name: "node_threshold", Kind: Numeric, Default: 2, Min: 2, Max: 1000, IsInt: true},
 		},
-	}, func(p Params) Classifier { return &Bagging{params: p} })
+	}, func(p params) Classifier { return &Bagging{params: p} })
 
 	register(Info{
 		Name:   "randomforest",
@@ -26,15 +26,15 @@ func init() {
 			{Name: "min_samples_leaf", Kind: Numeric, Default: 1, Min: 1, Max: 100, IsInt: true},
 			{Name: "resampling", Kind: Categorical, Options: []any{"bagging", "replicate"}},
 		},
-	}, func(p Params) Classifier { return &RandomForest{params: p} })
+	}, func(p params) Classifier { return &RandomForest{params: p} })
 }
 
 // Bagging is bootstrap aggregation of full decision trees with majority
 // vote (Breiman 1996). BigML's Bagging exposes node threshold, number of
 // models and ordering; here ordering is subsumed by the deterministic RNG.
 type Bagging struct {
-	params Params
-	trees  []*treeNode
+	params
+	trees []*treeNode
 }
 
 // Name implements Classifier.
@@ -50,16 +50,16 @@ func (b *Bagging) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Presort) e
 		return err
 	}
 	n := len(x)
-	count := b.params.Int("n_estimators", 10)
+	count := b.params.integer("n_estimators")
 	if count < 1 {
 		count = 1
 	}
 	cfg := treeConfig{
 		maxDepth:      0,
 		minLeaf:       1,
-		maxFeatures:   b.params.String("max_features", "all"),
+		maxFeatures:   b.params.option("max_features"),
 		criterion:     "gini",
-		nodeThreshold: b.params.Int("node_threshold", 2),
+		nodeThreshold: b.params.integer("node_threshold"),
 	}
 	pre := p.of(x)
 	mem := getTreeMem()
@@ -83,8 +83,8 @@ func (b *Bagging) Predict(x [][]float64) []int {
 // the number of random splits evaluated per node, and the minimum samples
 // per leaf — all mapped here.
 type RandomForest struct {
-	params Params
-	trees  []*treeNode
+	params
+	trees []*treeNode
 }
 
 // Name implements Classifier.
@@ -100,21 +100,21 @@ func (f *RandomForest) fitPresorted(x [][]float64, y []int, r *rng.RNG, p *Preso
 		return err
 	}
 	n := len(x)
-	count := f.params.Int("n_estimators", 10)
+	count := f.params.integer("n_estimators")
 	if count < 1 {
 		count = 1
 	}
 	cfg := treeConfig{
-		maxDepth:     f.params.Int("max_depth", 16),
-		minLeaf:      f.params.Int("min_samples_leaf", 1),
-		maxFeatures:  f.params.String("max_features", "sqrt"),
+		maxDepth:     f.params.integer("max_depth"),
+		minLeaf:      f.params.integer("min_samples_leaf"),
+		maxFeatures:  f.params.option("max_features"),
 		criterion:    "gini",
-		randomSplits: f.params.Int("random_splits", 0),
+		randomSplits: f.params.integer("random_splits"),
 	}
 	if cfg.minLeaf < 1 {
 		cfg.minLeaf = 1
 	}
-	replicate := f.params.String("resampling", "bagging") == "replicate"
+	replicate := f.params.option("resampling") == "replicate"
 	pre := p.of(x)
 	mem := getTreeMem()
 	mem.target = labelsToFloats(mem.target, y)

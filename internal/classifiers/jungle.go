@@ -19,7 +19,7 @@ func init() {
 			{Name: "max_width", Kind: Numeric, Default: 16, Min: 2, Max: 256, IsInt: true},
 			{Name: "opt_steps", Kind: Numeric, Default: 2, Min: 1, Max: 32, IsInt: true},
 		},
-	}, func(p Params) Classifier { return &DecisionJungle{params: p} })
+	}, func(p params) Classifier { return &DecisionJungle{params: p} })
 }
 
 // DecisionJungle implements decision jungles (Shotton et al. 2013) —
@@ -33,8 +33,8 @@ func init() {
 // LSearch, which re-chooses a level's splits and child assignments jointly
 // to minimise its weighted entropy, is not implemented.
 type DecisionJungle struct {
-	params Params
-	dags   []*dagModel
+	params
+	dags []*dagModel
 }
 
 type dagNode struct {
@@ -58,7 +58,7 @@ func (j *DecisionJungle) Fit(x [][]float64, y []int, r *rng.RNG) error {
 	if err != nil {
 		return err
 	}
-	nDags := max(j.params.Int("n_dags", 8), 1)
+	nDags := max(j.params.integer("n_dags"), 1)
 	mem := getDagMem()
 	mem.target = labelsToFloats(mem.target, y)
 	j.dags = make([]*dagModel, nDags)
@@ -88,9 +88,9 @@ type dagMem struct {
 
 // growDAG builds one width-limited DAG over the (multi)set idx of rows.
 func (j *DecisionJungle) growDAG(x [][]float64, target []float64, idx []int, r *rng.RNG, mem *dagMem) *dagModel {
-	maxDepth := j.params.Int("max_depth", 8)
-	maxWidth := max(j.params.Int("max_width", 16), 2)
-	optSteps := max(j.params.Int("opt_steps", 2), 1)
+	maxDepth := j.params.integer("max_depth")
+	maxWidth := max(j.params.integer("max_width"), 2)
+	optSteps := max(j.params.integer("opt_steps"), 1)
 	k := 4 * optSteps // random thresholds per candidate feature
 	d := len(x[0])
 	nFeat := treeConfig{maxFeatures: "sqrt"}.featureCount(d)

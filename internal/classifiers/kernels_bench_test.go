@@ -35,7 +35,7 @@ func benchData(n, d int) ([][]float64, []int) {
 // fitted 32-unit MLP — the serving forward pass after PR 3's fit-once split.
 func BenchmarkMLPForwardBatch(b *testing.B) {
 	x, y := benchData(512, 24)
-	m := &MLP{params: Params{"hidden": 32, "max_iter": 4}}
+	m := &MLP{params: bound("mlp", Params{"hidden": 32, "max_iter": 4})}
 	if err := m.Fit(x, y, rng.New(7)); err != nil {
 		b.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func BenchmarkMLPForwardBatch(b *testing.B) {
 // 2048-row training set under the default Euclidean metric.
 func BenchmarkKNNPredictBatch(b *testing.B) {
 	x, y := benchData(2048, 24)
-	k := &KNN{params: Params{"n_neighbors": 5}}
+	k := &KNN{params: bound("knn", Params{"n_neighbors": 5})}
 	if err := k.Fit(x, y, rng.New(7)); err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func clusteredData() (xTr [][]float64, yTr []int, queries [][]float64) {
 // leave at the first checkpoint; the i.i.d. benchmark above is the other.
 func BenchmarkKNNPredictBatchClustered(b *testing.B) {
 	x, y, queries := clusteredData()
-	k := &KNN{params: Params{"n_neighbors": 5}}
+	k := &KNN{params: bound("knn", Params{"n_neighbors": 5})}
 	if err := k.Fit(x, y, rng.New(7)); err != nil {
 		b.Fatal(err)
 	}

@@ -15,16 +15,16 @@ func init() {
 			{Name: "weights", Kind: Categorical, Options: []any{"uniform", "distance"}},
 			{Name: "p", Kind: Numeric, Default: 2, Min: 1, Max: 10},
 		},
-	}, func(p Params) Classifier { return &KNN{params: p} })
+	}, func(p params) Classifier { return &KNN{params: p} })
 }
 
 // KNN is a brute-force k-nearest-neighbours classifier under the Minkowski
 // Lp metric, with uniform or inverse-distance vote weighting — the
 // scikit-learn surface from Table 1.
 type KNN struct {
-	params Params
-	x      [][]float64
-	y      []int
+	params
+	x [][]float64
+	y []int
 	// xm is the training set packed contiguous row-major at fit time, so
 	// the Euclidean predict path can run the tiled distance kernel.
 	xm *linalg.Matrix
@@ -51,19 +51,7 @@ func (k *KNN) Fit(x [][]float64, y []int, _ *rng.RNG) error {
 // in the measurement sweep. Ties at the k-th distance break by training
 // index (lowest wins), which makes the selected set deterministic.
 func (k *KNN) Predict(x [][]float64) []int {
-	kk := k.params.Int("n_neighbors", 5)
-	if kk > len(k.x) {
-		kk = len(k.x)
-	}
-	if kk < 1 {
-		kk = 1
-	}
-	p := k.params.Float("p", 2)
-	if p < 1 {
-		p = 1
-	}
-	distWeighted := k.params.String("weights", "uniform") == "distance"
-
+	kk, p, distWeighted := k.query()
 	out := make([]int, len(x))
 	if p == 2 && k.xm != nil && k.xm.Rows > 0 {
 		k.predictEuclidean(x, out, kk, distWeighted)
@@ -84,6 +72,15 @@ func (k *KNN) Predict(x [][]float64) []int {
 		out[qi] = h.vote(k.y, distWeighted)
 	}
 	return out
+}
+
+// query resolves the parameters a prediction reads: k clamped to
+// [1, training rows], the Minkowski p floored at 1, and whether votes weigh
+// by inverse distance.
+func (k *KNN) query() (kk int, p float64, distWeighted bool) {
+	kk = max(min(k.params.integer("n_neighbors"), len(k.x)), 1)
+	p = max(k.params.float("p"), 1)
+	return kk, p, k.params.option("weights") == "distance"
 }
 
 // Shape of the Euclidean search (measurements: 256 queries, k = 5, 2-vCPU

@@ -14,18 +14,7 @@ import (
 // referenceKNNPredict is the straightforward full-sort implementation the
 // heap-based Predict replaced, with the same (dist, index) tie order.
 func referenceKNNPredict(k *KNN, x [][]float64) []int {
-	kk := k.params.Int("n_neighbors", 5)
-	if kk > len(k.x) {
-		kk = len(k.x)
-	}
-	if kk < 1 {
-		kk = 1
-	}
-	p := k.params.Float("p", 2)
-	if p < 1 {
-		p = 1
-	}
-	distWeighted := k.params.String("weights", "uniform") == "distance"
+	kk, p, distWeighted := k.query()
 	out := make([]int, len(x))
 	type nd struct {
 		dist float64
@@ -70,8 +59,7 @@ func referenceKNNPredict(k *KNN, x [][]float64) []int {
 // the selection depends on the order of the heap operations, and the search
 // must reproduce exactly these.
 func denseScanKNNPredict(k *KNN, x [][]float64) []int {
-	kk := max(min(k.params.Int("n_neighbors", 5), len(k.x)), 1)
-	distWeighted := k.params.String("weights", "uniform") == "distance"
+	kk, _, distWeighted := k.query()
 	out := make([]int, len(x))
 	h := newKHeap(kk)
 	for qi, q := range x {
@@ -116,9 +104,9 @@ func TestKNNSelectionMatchesFullSort(t *testing.T) {
 				x[i] = row
 				y[i] = r.Intn(2)
 			}
-			knn := &KNN{params: Params{
+			knn := &KNN{params: bound("knn", Params{
 				"n_neighbors": float64(tc.k), "weights": tc.weights, "p": tc.p,
-			}}
+			})}
 			if err := knn.Fit(x, y, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +166,7 @@ func TestKNNSelectionMatchesFullSort(t *testing.T) {
 			}
 			for _, k := range []int{1, 5, n, n + 3} {
 				for _, weights := range []string{"uniform", "distance"} {
-					knn := &KNN{params: Params{"n_neighbors": float64(k), "weights": weights}}
+					knn := &KNN{params: bound("knn", Params{"n_neighbors": float64(k), "weights": weights})}
 					if err := knn.Fit(x, y, nil); err != nil {
 						t.Fatal(err)
 					}
@@ -204,7 +192,7 @@ func TestKNNSelectionMatchesFullSort(t *testing.T) {
 func TestKNNConcurrentPredict(t *testing.T) {
 	x, y := benchData(600, 20)
 	queries, _ := benchData(300, 20)
-	knn := &KNN{params: Params{"n_neighbors": 7, "weights": "distance"}}
+	knn := &KNN{params: bound("knn", Params{"n_neighbors": 7, "weights": "distance"})}
 	if err := knn.Fit(x, y, nil); err != nil {
 		t.Fatal(err)
 	}

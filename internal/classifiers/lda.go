@@ -16,7 +16,7 @@ func init() {
 			{Name: "solver", Kind: Categorical, Options: []any{"lsqr", "eigen"}},
 			{Name: "shrinkage", Kind: Categorical, Options: []any{"none", "auto"}},
 		},
-	}, func(p Params) Classifier { return &LDA{params: p} })
+	}, func(p params) Classifier { return &LDA{params: p} })
 }
 
 // LDA is linear discriminant analysis with a shared (pooled) covariance:
@@ -26,9 +26,9 @@ func init() {
 // Shrinkage "auto" blends the covariance toward a scaled identity, the
 // Ledoit-Wolf-style regularization scikit-learn offers.
 type LDA struct {
-	params Params
-	w      []float64
-	bias   float64
+	params
+	w    []float64
+	bias float64
 }
 
 // Name implements Classifier.
@@ -64,7 +64,7 @@ func (l *LDA) Fit(x [][]float64, y []int, _ *rng.RNG) error {
 		pooled.Data[i] = w0*c0.Data[i] + w1*c1.Data[i]
 	}
 
-	if l.params.String("shrinkage", "none") == "auto" {
+	if l.params.option("shrinkage") == "auto" {
 		// Shrink toward tr(Σ)/d · I with a fixed blend.
 		trace := 0.0
 		for i := 0; i < d; i++ {
@@ -84,7 +84,7 @@ func (l *LDA) Fit(x [][]float64, y []int, _ *rng.RNG) error {
 	}
 
 	diff := linalg.Sub(m1, m0)
-	switch l.params.String("solver", "lsqr") {
+	switch l.params.option("solver") {
 	case "eigen":
 		l.w = l.solveEigen(pooled, diff)
 	default:

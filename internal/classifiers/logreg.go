@@ -25,7 +25,7 @@ func init() {
 			{Name: "shuffle", Kind: Categorical, Options: []any{"true", "false"}},
 			{Name: "fit_intercept", Kind: Categorical, Options: []any{"true", "false"}},
 		},
-	}, func(p Params) Classifier { return &LogisticRegression{params: p} })
+	}, func(p params) Classifier { return &LogisticRegression{params: p} })
 }
 
 // LogisticRegression is a binary logistic-regression classifier with L1/L2
@@ -34,7 +34,7 @@ func init() {
 // standing in for scikit-learn's lbfgs/liblinear family). Regularization
 // strength is 1/C, matching scikit-learn's convention.
 type LogisticRegression struct {
-	params      Params
+	params
 	w           []float64
 	b           float64
 	noIntercept bool
@@ -51,8 +51,8 @@ func (l *LogisticRegression) Fit(x [][]float64, y []int, r *rng.RNG) error {
 	}
 	l.w = make([]float64, d)
 	l.b = 0
-	l.noIntercept = l.params.String("fit_intercept", "true") == "false"
-	switch l.params.String("solver", "sgd") {
+	l.noIntercept = l.params.option("fit_intercept") == "false"
+	switch l.params.option("solver") {
 	case "newton":
 		l.fitNewton(x, y, n, d)
 	default:
@@ -62,12 +62,12 @@ func (l *LogisticRegression) Fit(x [][]float64, y []int, r *rng.RNG) error {
 }
 
 func (l *LogisticRegression) fitSGD(x [][]float64, y []int, n, d int, r *rng.RNG) {
-	c := l.params.Float("C", 1)
+	c := l.params.float("C")
 	lambda := 1 / (c * float64(n))
-	penalty := l.params.String("penalty", "l2")
-	maxIter := l.params.Int("max_iter", 100)
-	tol := l.params.Float("tol", 1e-4)
-	shuffle := l.params.String("shuffle", "true") == "true"
+	penalty := l.params.option("penalty")
+	maxIter := l.params.integer("max_iter")
+	tol := l.params.float("tol")
+	shuffle := l.params.option("shuffle") == "true"
 
 	order := make([]int, n)
 	for i := range order {
@@ -115,13 +115,13 @@ func (l *LogisticRegression) fitSGD(x [][]float64, y []int, n, d int, r *rng.RNG
 // is itself a measured control, so fidelity of the penalty under newton
 // matters less than having two distinct solvers).
 func (l *LogisticRegression) fitNewton(x [][]float64, y []int, n, d int) {
-	c := l.params.Float("C", 1)
+	c := l.params.float("C")
 	lambda := 1 / c
-	maxIter := l.params.Int("max_iter", 100)
+	maxIter := l.params.integer("max_iter")
 	if maxIter > 50 {
 		maxIter = 50 // Newton converges in far fewer steps than SGD
 	}
-	tol := l.params.Float("tol", 1e-4)
+	tol := l.params.float("tol")
 
 	// Work in homogeneous coordinates: theta = [w..., b].
 	dim := d + 1

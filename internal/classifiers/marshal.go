@@ -25,15 +25,14 @@ const (
 )
 
 // Typed parameter-value tags. Params cross the JSON boundary as exactly
-// these four types (handleTrain normalizes numbers against the surface
-// defaults), and the typed encoding keeps them exact across a round-trip —
-// a JSON re-encode would silently turn ints into float64s and change
+// these three types (ParamSpec.Check canonicalizes them at the API), and
+// the typed encoding keeps them exact across a round-trip — a JSON
+// re-encode would silently turn ints into float64s and change
 // Config.String().
 const (
 	paramFloat = iota + 1
 	paramInt
 	paramString
-	paramBool
 )
 
 // AppendParams serializes a Params map with sorted keys (deterministic
@@ -57,9 +56,6 @@ func AppendParams(b []byte, p Params) ([]byte, error) {
 		case string:
 			b = codec.AppendU8(b, paramString)
 			b = codec.AppendString(b, v)
-		case bool:
-			b = codec.AppendU8(b, paramBool)
-			b = codec.AppendBool(b, v)
 		default:
 			return nil, fmt.Errorf("classifiers: cannot serialize param %q of type %T", k, p[k])
 		}
@@ -80,8 +76,6 @@ func ReadParams(r *codec.Reader) Params {
 			p[k] = int(r.I64())
 		case paramString:
 			p[k] = r.String(maxParamString)
-		case paramBool:
-			p[k] = r.Bool()
 		default:
 			r.Fail("unknown param tag %d for %q", tag, k)
 		}
@@ -95,39 +89,8 @@ func ReadParams(r *codec.Reader) Params {
 // to the resident one.
 func AppendFitted(b []byte, c Classifier) ([]byte, error) {
 	b = codec.AppendString(b, c.Name())
-	var params Params
-	var err error
-	switch t := c.(type) {
-	case *LogisticRegression:
-		params = t.params
-	case *LDA:
-		params = t.params
-	case *LinearSVM:
-		params = t.params
-	case *AveragedPerceptron:
-		params = t.params
-	case *BayesPointMachine:
-		params = t.params
-	case *NaiveBayes:
-		params = t.params
-	case *KNN:
-		params = t.params
-	case *MLP:
-		params = t.params
-	case *DecisionTree:
-		params = t.params
-	case *Bagging:
-		params = t.params
-	case *RandomForest:
-		params = t.params
-	case *BoostedTrees:
-		params = t.params
-	case *DecisionJungle:
-		params = t.params
-	default:
-		return nil, fmt.Errorf("classifiers: cannot serialize %T", c)
-	}
-	if b, err = AppendParams(b, params); err != nil {
+	b, err := AppendParams(b, c.Params())
+	if err != nil {
 		return nil, err
 	}
 	switch t := c.(type) {
@@ -194,6 +157,8 @@ func AppendFitted(b []byte, c Classifier) ([]byte, error) {
 		for _, dag := range t.dags {
 			b = appendDAG(b, dag)
 		}
+	default:
+		return nil, fmt.Errorf("classifiers: cannot serialize %T", c)
 	}
 	return b, nil
 }
@@ -201,40 +166,33 @@ func AppendFitted(b []byte, c Classifier) ([]byte, error) {
 // DecodeFitted reconstructs a fitted classifier written by AppendFitted.
 func DecodeFitted(r *codec.Reader) (Classifier, error) {
 	name := r.String(maxParamString)
-	params := ReadParams(r)
+	p := ReadParams(r)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	var c Classifier
-	switch name {
-	case "logreg":
-		t := &LogisticRegression{params: params}
+	e, ok := registry[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown classifier %q", codec.ErrCorrupt, name)
+	}
+	c := e.build(p)
+	switch t := c.(type) {
+	case *LogisticRegression:
 		t.w = r.F64s(maxModelFeatures)
 		t.b = r.F64()
 		t.noIntercept = r.Bool()
-		c = t
-	case "lda":
-		t := &LDA{params: params}
+	case *LDA:
 		t.w = r.F64s(maxModelFeatures)
 		t.bias = r.F64()
-		c = t
-	case "svm":
-		t := &LinearSVM{params: params}
+	case *LinearSVM:
 		t.w = r.F64s(maxModelFeatures)
 		t.b = r.F64()
-		c = t
-	case "perceptron":
-		t := &AveragedPerceptron{params: params}
+	case *AveragedPerceptron:
 		t.w = r.F64s(maxModelFeatures)
 		t.b = r.F64()
-		c = t
-	case "bpm":
-		t := &BayesPointMachine{params: params}
+	case *BayesPointMachine:
 		t.w = r.F64s(maxModelFeatures)
 		t.b = r.F64()
-		c = t
-	case "naivebayes":
-		t := &NaiveBayes{params: params}
+	case *NaiveBayes:
 		t.logPri[0] = r.F64()
 		t.logPri[1] = r.F64()
 		for cl := 0; cl < 2; cl++ {
@@ -242,9 +200,7 @@ func DecodeFitted(r *codec.Reader) (Classifier, error) {
 			t.vari[cl] = r.F64s(maxModelFeatures)
 		}
 		t.derive()
-		c = t
-	case "knn":
-		t := &KNN{params: params}
+	case *KNN:
 		// The training rows decode straight into the one contiguous matrix
 		// the distance kernels scan; t.x is row views over it.
 		rows := r.Count(maxModelSamples, 0)
@@ -267,9 +223,7 @@ func DecodeFitted(r *codec.Reader) (Classifier, error) {
 		if r.Err() == nil && len(t.y) != len(t.x) {
 			r.Fail("knn: %d rows vs %d labels", len(t.x), len(t.y))
 		}
-		c = t
-	case "mlp":
-		t := &MLP{params: params}
+	case *MLP:
 		hidden := r.Count(1<<16, 0)
 		d := r.Count(maxModelFeatures, 0)
 		if r.Err() == nil && hidden*d*8 > r.Remaining() {
@@ -291,28 +245,18 @@ func DecodeFitted(r *codec.Reader) (Classifier, error) {
 		if r.Err() == nil && (len(t.b1) != hidden || len(t.w2) != hidden) {
 			r.Fail("mlp: bias/output arity %d/%d vs %d hidden", len(t.b1), len(t.w2), hidden)
 		}
-		c = t
-	case "dtree":
-		t := &DecisionTree{params: params}
+	case *DecisionTree:
 		budget := maxTreeNodes
 		t.root = readTree(r, &budget)
-		c = t
-	case "bagging":
-		t := &Bagging{params: params}
+	case *Bagging:
 		t.trees = readForest(r)
-		c = t
-	case "randomforest":
-		t := &RandomForest{params: params}
+	case *RandomForest:
 		t.trees = readForest(r)
-		c = t
-	case "boosted":
-		t := &BoostedTrees{params: params}
+	case *BoostedTrees:
 		t.trees = readForest(r)
 		t.lr = r.F64()
 		t.bias = r.F64()
-		c = t
-	case "jungle":
-		t := &DecisionJungle{params: params}
+	case *DecisionJungle:
 		n := r.Count(maxEnsembleSize, 4)
 		if r.Err() == nil {
 			t.dags = make([]*dagModel, 0, n)
@@ -320,9 +264,6 @@ func DecodeFitted(r *codec.Reader) (Classifier, error) {
 				t.dags = append(t.dags, readDAG(r))
 			}
 		}
-		c = t
-	default:
-		return nil, fmt.Errorf("%w: unknown classifier %q", codec.ErrCorrupt, name)
 	}
 	if err := r.Err(); err != nil {
 		return nil, err

@@ -19,14 +19,14 @@ func init() {
 			{Name: "hidden", Kind: Numeric, Default: 16, Min: 2, Max: 256, IsInt: true},
 			{Name: "max_iter", Kind: Numeric, Default: 60, Min: 2, Max: 200, IsInt: true},
 		},
-	}, func(p Params) Classifier { return &MLP{params: p} })
+	}, func(p params) Classifier { return &MLP{params: p} })
 }
 
 // MLP is a one-hidden-layer multi-layer perceptron trained by backprop on
 // the logistic loss, with the scikit-learn surface from Table 1:
 // activation (relu/tanh/logistic), solver (sgd/adam) and L2 penalty alpha.
 type MLP struct {
-	params Params
+	params
 	// w1[h][j]: input j → hidden h, b1[h]; w2[h]: hidden h → output, b2.
 	w1 [][]float64
 	b1 []float64
@@ -65,14 +65,14 @@ func (m *MLP) Fit(x [][]float64, y []int, r *rng.RNG) error {
 	if err != nil {
 		return err
 	}
-	hidden := m.params.Int("hidden", 16)
+	hidden := m.params.integer("hidden")
 	if hidden < 2 {
 		hidden = 2
 	}
-	alpha := m.params.Float("alpha", 1e-4)
-	epochs := m.params.Int("max_iter", 60)
-	activation := m.params.String("activation", "relu")
-	adam := m.params.String("solver", "adam") == "adam"
+	alpha := m.params.float("alpha")
+	epochs := m.params.integer("max_iter")
+	activation := m.params.option("activation")
+	adam := m.params.option("solver") == "adam"
 
 	// He/Xavier-style init. The weight rows share one contiguous backing
 	// array — the training loop streams over all of them every sample, and
@@ -248,7 +248,7 @@ func (m *MLP) Predict(x [][]float64) []int {
 		}
 		return out
 	}
-	actKind := actKindOf(m.params.String("activation", "relu"))
+	actKind := actKindOf(m.params.option("activation"))
 	wm := m.weightMatrix()
 	d := wm.Cols
 	blk := min(mlpRowBlock, len(x))

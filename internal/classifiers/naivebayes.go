@@ -15,14 +15,14 @@ func init() {
 			{Name: "prior", Kind: Categorical, Options: []any{"empirical", "uniform"}},
 			{Name: "lambda", Kind: Numeric, Default: 1e-9, Min: 1e-12, Max: 1.0},
 		},
-	}, func(p Params) Classifier { return &NaiveBayes{params: p} })
+	}, func(p params) Classifier { return &NaiveBayes{params: p} })
 }
 
 // NaiveBayes is Gaussian naive Bayes: per-class, per-feature normal
 // likelihoods with either empirical or uniform class priors. The lambda
 // parameter adds variance smoothing (PredictionIO's NB lambda control).
 type NaiveBayes struct {
-	params Params
+	params
 	logPri [2]float64
 	mean   [2][]float64
 	vari   [2][]float64
@@ -82,7 +82,7 @@ func (nb *NaiveBayes) Fit(x [][]float64, y []int, _ *rng.RNG) error {
 		}
 	}
 	globalVar /= float64(2 * d)
-	lambda := nb.params.Float("lambda", 1e-9)
+	lambda := nb.params.float("lambda")
 	eps := lambda*globalVar + 1e-12
 	for c := 0; c < 2; c++ {
 		for j := range nb.vari[c] {
@@ -90,7 +90,7 @@ func (nb *NaiveBayes) Fit(x [][]float64, y []int, _ *rng.RNG) error {
 		}
 	}
 
-	switch nb.params.String("prior", "empirical") {
+	switch nb.params.option("prior") {
 	case "uniform":
 		nb.logPri[0], nb.logPri[1] = math.Log(0.5), math.Log(0.5)
 	default:

@@ -14,7 +14,7 @@ func init() {
 			{Name: "learning_rate", Kind: Numeric, Default: 1.0, Min: 1e-4, Max: 100},
 			{Name: "max_iter", Kind: Numeric, Default: 10, Min: 1, Max: 200, IsInt: true},
 		},
-	}, func(p Params) Classifier { return &AveragedPerceptron{params: p} })
+	}, func(p params) Classifier { return &AveragedPerceptron{params: p} })
 
 	register(Info{
 		Name:   "bpm",
@@ -23,7 +23,7 @@ func init() {
 		Params: []ParamSpec{
 			{Name: "n_iter", Kind: Numeric, Default: 30, Min: 1, Max: 200, IsInt: true},
 		},
-	}, func(p Params) Classifier { return &BayesPointMachine{params: p} })
+	}, func(p params) Classifier { return &BayesPointMachine{params: p} })
 }
 
 // AveragedPerceptron is the large-margin averaged perceptron of Freund &
@@ -32,9 +32,9 @@ func init() {
 // approximates the voted perceptron's margin behaviour at prediction cost
 // of a single linear model.
 type AveragedPerceptron struct {
-	params Params
-	w      []float64
-	b      float64
+	params
+	w []float64
+	b float64
 }
 
 // Name implements Classifier.
@@ -46,8 +46,8 @@ func (a *AveragedPerceptron) Fit(x [][]float64, y []int, r *rng.RNG) error {
 	if err != nil {
 		return err
 	}
-	lr := a.params.Float("learning_rate", 1)
-	epochs := a.params.Int("max_iter", 10)
+	lr := a.params.float("learning_rate")
+	epochs := a.params.integer("max_iter")
 	ys := signedLabels(y)
 
 	w := make([]float64, d)
@@ -94,9 +94,9 @@ func (a *AveragedPerceptron) Predict(x [][]float64) []int {
 // train an ensemble of perceptrons on randomly permuted data and average
 // the normalized weight vectors.
 type BayesPointMachine struct {
-	params Params
-	w      []float64
-	b      float64
+	params
+	w []float64
+	b float64
 }
 
 // Name implements Classifier.
@@ -108,7 +108,7 @@ func (m *BayesPointMachine) Fit(x [][]float64, y []int, r *rng.RNG) error {
 	if err != nil {
 		return err
 	}
-	iters := m.params.Int("n_iter", 30)
+	iters := m.params.integer("n_iter")
 	if iters < 1 {
 		iters = 1
 	}

@@ -72,9 +72,9 @@ func TestPredictScratchAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	xTr, yTr := benchData(1600, 32)
 	for _, clf := range []Classifier{
-		&KNN{params: Params{"n_neighbors": 5}},
-		&MLP{params: Params{"hidden": 32, "max_iter": 2}},
-		&NaiveBayes{},
+		&KNN{params: bound("knn", Params{"n_neighbors": 5})},
+		&MLP{params: bound("mlp", Params{"hidden": 32, "max_iter": 2})},
+		&NaiveBayes{params: bound("naivebayes", nil)},
 	} {
 		if err := clf.Fit(xTr, yTr, rng.New(7)); err != nil {
 			t.Fatal(err)

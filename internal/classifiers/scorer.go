@@ -66,18 +66,7 @@ func linearScores(w []float64, b float64, x [][]float64) []float64 {
 
 // PredictScore implements Scorer: the (weighted) neighbour vote fraction.
 func (k *KNN) PredictScore(x [][]float64) []float64 {
-	kk := k.params.Int("n_neighbors", 5)
-	if kk > len(k.x) {
-		kk = len(k.x)
-	}
-	if kk < 1 {
-		kk = 1
-	}
-	p := k.params.Float("p", 2)
-	if p < 1 {
-		p = 1
-	}
-	distWeighted := k.params.String("weights", "uniform") == "distance"
+	kk, p, distWeighted := k.query()
 	out := make([]float64, len(x))
 	type nd struct {
 		dist float64
@@ -176,17 +165,17 @@ func (j *DecisionJungle) PredictScore(x [][]float64) []float64 {
 func (m *MLP) PredictScore(x [][]float64) []float64 {
 	// Reuse Predict's forward pass but keep the raw logit.
 	hidden := len(m.w1)
-	activation := m.params.String("activation", "relu")
+	actKind := actKindOf(m.params.option("activation"))
 	out := make([]float64, len(x))
 	for i, row := range x {
 		z2 := m.b2
 		for h := 0; h < hidden; h++ {
 			z := linalg.Dot(m.w1[h], row) + m.b1[h]
 			var a float64
-			switch activation {
-			case "tanh":
+			switch actKind {
+			case actTanh:
 				a = math.Tanh(z)
-			case "logistic":
+			case actLogistic:
 				a = linalg.Sigmoid(z)
 			default:
 				if z > 0 {

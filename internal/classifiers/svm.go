@@ -18,7 +18,7 @@ func init() {
 			{Name: "penalty", Kind: Categorical, Options: []any{"l2"}},
 			{Name: "max_iter", Kind: Numeric, Default: 200, Min: 2, Max: 1000, IsInt: true},
 		},
-	}, func(p Params) Classifier { return &LinearSVM{params: p} })
+	}, func(p params) Classifier { return &LinearSVM{params: p} })
 }
 
 // LinearSVM is a linear support vector machine trained with the Pegasos
@@ -26,9 +26,9 @@ func init() {
 // SVM exposes #iterations and Lambda; the local arm exposes penalty, C and
 // loss (Table 1). Lambda and C are two views of the same knob: λ = 1/(C·n).
 type LinearSVM struct {
-	params Params
-	w      []float64
-	b      float64
+	params
+	w []float64
+	b float64
 }
 
 // Name implements Classifier.
@@ -40,10 +40,10 @@ func (s *LinearSVM) Fit(x [][]float64, y []int, r *rng.RNG) error {
 	if err != nil {
 		return err
 	}
-	c := s.params.Float("C", 1)
+	c := s.params.float("C")
 	lambda := 1 / (c * float64(n))
-	squared := s.params.String("loss", "hinge") == "squared_hinge"
-	epochs := s.params.Int("max_iter", 200)
+	squared := s.params.option("loss") == "squared_hinge"
+	epochs := s.params.integer("max_iter")
 	ys := signedLabels(y)
 
 	s.w = make([]float64, d)

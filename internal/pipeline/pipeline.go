@@ -12,6 +12,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -159,6 +160,15 @@ func (s Surface) FeatOptions() []Feat {
 // DefaultConfig returns the platform's zero-control baseline: no FEAT, the
 // given classifier at the platform defaults for every exposed parameter.
 func (s Surface) DefaultConfig(classifier string) (Config, error) {
+	return s.Configure(classifier, nil)
+}
+
+// Configure returns DefaultConfig(classifier) with the given parameter
+// overrides, each checked against the surface's spec (ParamSpec.Check) and
+// stored in its canonical type, so a value the classifier would not honour
+// is an error and one model has one Config whatever form its parameters
+// arrive in.
+func (s Surface) Configure(classifier string, overrides map[string]any) (Config, error) {
 	cs, err := s.classifier(classifier)
 	if err != nil {
 		return Config{}, err
@@ -166,6 +176,15 @@ func (s Surface) DefaultConfig(classifier string) (Config, error) {
 	params := classifiers.Params{}
 	for _, spec := range cs.Params {
 		params[spec.Name] = spec.DefaultValue()
+	}
+	for k, v := range overrides {
+		i := slices.IndexFunc(cs.Params, func(ps classifiers.ParamSpec) bool { return ps.Name == k })
+		if i < 0 {
+			return Config{}, fmt.Errorf("pipeline: parameter %q not exposed by %s", k, classifier)
+		}
+		if params[k], err = cs.Params[i].Check(v); err != nil {
+			return Config{}, fmt.Errorf("pipeline: parameter %q of %s: %w", k, classifier, err)
+		}
 	}
 	return Config{Feat: Feat{Kind: "none"}, Classifier: classifier, Params: params}, nil
 }

@@ -167,17 +167,17 @@ func TestParamGridOneAtATime(t *testing.T) {
 		t.Fatalf("grid size %d, want 4: %v", len(grid), grid)
 	}
 	first := grid[0]
-	if first.String("penalty", "") != "l2" || first.Float("C", 0) != 1 {
+	if first["penalty"] != "l2" || first["C"] != 1.0 {
 		t.Fatalf("first grid entry %v is not the defaults", first)
 	}
 	// Every non-default entry deviates from the defaults in exactly one
 	// parameter (the one-at-a-time scan).
 	for _, p := range grid[1:] {
 		devs := 0
-		if p.String("penalty", "") != "l2" {
+		if p["penalty"] != "l2" {
 			devs++
 		}
-		if p.Float("C", 0) != 1 {
+		if p["C"] != 1.0 {
 			devs++
 		}
 		if devs != 1 {
@@ -279,7 +279,7 @@ func TestDefaultConfig(t *testing.T) {
 	if cfg.Feat.Kind != "none" {
 		t.Fatal("baseline must use no FEAT")
 	}
-	if cfg.Params.String("penalty", "") != "l2" {
+	if cfg.Params["penalty"] != "l2" {
 		t.Fatalf("baseline params %v", cfg.Params)
 	}
 	if _, err := s.DefaultConfig("mlp"); err == nil {

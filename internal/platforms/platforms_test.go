@@ -2,6 +2,7 @@ package platforms
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mlaasbench/internal/pipeline"
@@ -24,6 +25,32 @@ func TestAllPlatformsConstruct(t *testing.T) {
 	}
 	if _, err := New("watson"); err == nil {
 		t.Fatal("expected error for unknown platform")
+	}
+}
+
+// Every config the sweep runs passes the API's parameter check unchanged,
+// so canonicalisation is the identity on the sweep: the check refuses no
+// grid value (Microsoft's SVM default max_iter=1 lies below the registry
+// minimum of 2 and passes as the surface's own default), and a config
+// posted over HTTP gets the content id of the config the sweep ran.
+func TestSurfaceGridsPassParamCheck(t *testing.T) {
+	n := 0
+	for _, p := range All() {
+		surf := p.Surface()
+		for _, cs := range surf.Classifiers {
+			for _, params := range pipeline.ParamGrid(cs) {
+				cfg, err := surf.Configure(cs.Name, params)
+				if err != nil {
+					t.Errorf("%s %s %v: %v", p.Name(), cs.Name, params, err)
+				} else if !reflect.DeepEqual(cfg.Params, params) {
+					t.Errorf("%s %s: %v canonicalises to %v", p.Name(), cs.Name, params, cfg.Params)
+				}
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no grid configs")
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"io"
 	"log"
 	"log/slog"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -736,7 +735,8 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildConfig converts a TrainRequest into a pipeline config appropriate for
-// the platform: black boxes accept no configuration at all.
+// the platform: black boxes accept no configuration at all, and every
+// param is checked against the platform surface (Surface.Configure).
 func (s *Server) buildConfig(p platforms.Platform, req TrainRequest) (pipeline.Config, error) {
 	if p.BaselineClassifier() == "" {
 		if req.Classifier != "" || req.Feat != "" || len(req.Params) > 0 {
@@ -748,9 +748,9 @@ func (s *Server) buildConfig(p platforms.Platform, req TrainRequest) (pipeline.C
 	if clf == "" {
 		clf = p.BaselineClassifier()
 	}
-	cfg, err := p.Surface().DefaultConfig(clf)
+	cfg, err := p.Surface().Configure(clf, req.Params)
 	if err != nil {
-		return pipeline.Config{}, err
+		return pipeline.Config{}, fmt.Errorf("%s: %w", p.Name(), err)
 	}
 	if req.Feat != "" {
 		f, err := pipeline.ParseFeat(req.Feat)
@@ -759,45 +759,7 @@ func (s *Server) buildConfig(p platforms.Platform, req TrainRequest) (pipeline.C
 		}
 		cfg.Feat = f
 	}
-	for k, v := range req.Params {
-		def, known := cfg.Params[k]
-		if !known {
-			return pipeline.Config{}, fmt.Errorf("parameter %q not exposed by %s/%s", k, p.Name(), clf)
-		}
-		v, err := paramValue(def, v)
-		if err != nil {
-			return pipeline.Config{}, fmt.Errorf("parameter %q of %s/%s: %v", k, p.Name(), clf, err)
-		}
-		cfg.Params[k] = v
-	}
 	return cfg, nil
-}
-
-// paramValue checks a JSON-decoded train parameter against the type of the
-// default it replaces and returns it in that type: a string default takes a
-// string (every categorical option is one), an int default an integral
-// number, and a float64 default, the only other kind, any number. A value
-// the classifier would ignore in favour of its default is refused, so one
-// model never gets a second id.
-func paramValue(def, v any) (any, error) {
-	f, isNum := v.(float64)
-	switch def.(type) {
-	case string:
-		if _, ok := v.(string); ok {
-			return v, nil
-		}
-		return nil, fmt.Errorf("want a string, got %v", v)
-	case int:
-		// 2^53 bounds the integers a JSON number holds exactly.
-		if isNum && f == math.Trunc(f) && math.Abs(f) <= 1<<53 {
-			return int(f), nil
-		}
-		return nil, fmt.Errorf("want an integer, got %v", v)
-	}
-	if isNum {
-		return f, nil
-	}
-	return nil, fmt.Errorf("want a number, got %v", v)
 }
 
 // PredictRequest carries query instances.

@@ -128,33 +128,43 @@ func TestTrainRejectsUnknownParam(t *testing.T) {
 	}
 }
 
+// postTrain posts a train request for dsID with the given params JSON and
+// returns the status with the model id or the error envelope's message.
+func postTrain(ctx context.Context, t *testing.T, url, platform, dsID, classifier, params string) (code int, id, msg string) {
+	t.Helper()
+	body := fmt.Sprintf(`{"dataset":%q,"classifier":%q,"params":%s}`, dsID, classifier, params)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/platforms/"+platform+"/models", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct{ ID, Error string }
+	_ = json.NewDecoder(resp.Body).Decode(&out)
+	return resp.StatusCode, out.ID, out.Error
+}
+
 // A param value of the wrong JSON type used to train the default model
 // under a new content id (and a fractional int was truncated where the
 // classifier rounds); each is now a 400 naming the key, while the same
 // values in the right type train.
 func TestTrainRejectsParamOfWrongType(t *testing.T) {
 	srv, c := newTestServer(t)
-	dsID, err := c.Upload(context.Background(), "local", testSplit(t).Train)
+	ctx := context.Background()
+	dsID, err := c.Upload(ctx, "local", testSplit(t).Train)
 	if err != nil {
 		t.Fatal(err)
-	}
-	train := func(classifier, params string) (int, string) {
-		body := fmt.Sprintf(`{"dataset":%q,"classifier":%q,"params":%s}`, dsID, classifier, params)
-		resp, err := http.Post(srv.URL+"/v1/platforms/local/models", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var envelope struct{ Error string }
-		_ = json.NewDecoder(resp.Body).Decode(&envelope)
-		return resp.StatusCode, envelope.Error
 	}
 	for _, tc := range []struct{ classifier, params, key string }{
 		{"mlp", `{"activation":3}`, "activation"},
 		{"dtree", `{"max_depth":"deep"}`, "max_depth"},
 		{"randomforest", `{"n_estimators":10.7}`, "n_estimators"},
 	} {
-		code, msg := train(tc.classifier, tc.params)
+		code, _, msg := postTrain(ctx, t, srv.URL, "local", dsID, tc.classifier, tc.params)
 		if code != http.StatusBadRequest || !strings.Contains(msg, strconv.Quote(tc.key)) {
 			t.Errorf("%s %s: status %d %s, want 400 naming %q", tc.classifier, tc.params, code, msg, tc.key)
 		}
@@ -164,36 +174,82 @@ func TestTrainRejectsParamOfWrongType(t *testing.T) {
 		{"dtree", `{"max_depth":4}`},
 		{"randomforest", `{"n_estimators":10.0}`},
 	} {
-		if code, msg := train(tc.classifier, tc.params); code != http.StatusCreated {
+		if code, _, msg := postTrain(ctx, t, srv.URL, "local", dsID, tc.classifier, tc.params); code != http.StatusCreated {
 			t.Errorf("%s %s: status %d %s, want 201", tc.classifier, tc.params, code, msg)
 		}
 	}
 }
 
-// Split parameters below their declared minimum reach the fit unchecked;
-// the model must still train and serve, and a later train or predict of
-// the same key must not wait on a fit that never finished.
-func TestTrainBelowParamMinimumServes(t *testing.T) {
-	_, c := newTestServer(t)
-	sp := testSplit(t)
+// A value outside its spec's options or [Min, Max] is a 400 naming the key
+// and what it allows, where it used to train: an unknown activation trained
+// the relu model under a second id, and a negative alpha trained. An
+// explicit default gives the id of the omitted one, and a platform's own
+// default passes even below the registry minimum (Microsoft's SVM iterates
+// once by default; the registry's max_iter floor is 2).
+func TestTrainRejectsParamOutsideSpec(t *testing.T) {
+	srv, c := newTestServer(t)
+	ctx := context.Background()
+	ids := map[string]string{}
+	for _, platform := range []string{"local", "microsoft"} {
+		dsID, err := c.Upload(ctx, platform, testSplit(t).Train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[platform] = dsID
+	}
+	for _, tc := range []struct{ params, key, allowed string }{
+		{`{"activation":"foo"}`, "activation", "[relu tanh logistic]"},
+		{`{"alpha":-1}`, "alpha", "[1e-08, 10]"},
+		{`{"max_iter":201}`, "max_iter", "[2, 200]"},
+	} {
+		code, id, msg := postTrain(ctx, t, srv.URL, "local", ids["local"], "mlp", tc.params)
+		if code != http.StatusBadRequest || !strings.Contains(msg, strconv.Quote(tc.key)) || !strings.Contains(msg, tc.allowed) {
+			t.Errorf("mlp %s: status %d %q %s, want 400 naming %q and %s", tc.params, code, id, msg, tc.key, tc.allowed)
+		}
+	}
+	for _, tc := range []struct {
+		platform, classifier string
+		same                 []string
+	}{
+		{"local", "mlp", []string{`{}`, `{"activation":"relu"}`}},
+		{"microsoft", "svm", []string{`{}`, `{"max_iter":1}`}},
+	} {
+		var first string
+		for _, params := range tc.same {
+			code, id, msg := postTrain(ctx, t, srv.URL, tc.platform, ids[tc.platform], tc.classifier, params)
+			if code != http.StatusCreated {
+				t.Fatalf("%s %s %s: status %d %s, want 201", tc.platform, tc.classifier, params, code, msg)
+			}
+			if first == "" {
+				first = id
+			} else if id != first {
+				t.Errorf("%s %s %s: id %s, want %s (the id of %s)", tc.platform, tc.classifier, params, id, first, tc.same[0])
+			}
+		}
+	}
+}
+
+// Split parameters below their declared minimum are refused at the API
+// (in-process fits of them are TestTreeLearnersFitBelowParamMinimum's), and
+// refused again on a second try: a refusal parks nothing that a later
+// train of the same key could wait on.
+func TestTrainBelowParamMinimumRefused(t *testing.T) {
+	srv, c := newTestServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	dsID, err := c.Upload(ctx, "microsoft", sp.Train)
+	dsID, err := c.Upload(ctx, "microsoft", testSplit(t).Train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []pipeline.Config{
-		{Classifier: "randomforest", Params: map[string]any{"random_splits": -1}},
-		{Classifier: "jungle", Params: map[string]any{"opt_steps": 0}},
-		{Classifier: "jungle", Params: map[string]any{"opt_steps": -1}},
+	for _, tc := range []struct{ classifier, params, key string }{
+		{"randomforest", `{"random_splits":-1}`, "random_splits"},
+		{"jungle", `{"opt_steps":0}`, "opt_steps"},
+		{"jungle", `{"opt_steps":-1}`, "opt_steps"},
 	} {
 		for round := 0; round < 2; round++ {
-			id, err := c.Train(ctx, "microsoft", dsID, cfg, 1)
-			if err != nil {
-				t.Fatalf("%v round %d: train: %v", cfg, round, err)
-			}
-			if _, err := c.Predict(ctx, "microsoft", id, sp.Test.X); err != nil {
-				t.Fatalf("%v round %d: predict: %v", cfg, round, err)
+			code, _, msg := postTrain(ctx, t, srv.URL, "microsoft", dsID, tc.classifier, tc.params)
+			if code != http.StatusBadRequest || !strings.Contains(msg, strconv.Quote(tc.key)) {
+				t.Fatalf("%s %s round %d: status %d %s, want 400 naming %q", tc.classifier, tc.params, round, code, msg, tc.key)
 			}
 		}
 	}

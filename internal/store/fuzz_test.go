@@ -3,10 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"testing"
 
+	"mlaasbench/internal/codec"
 	"mlaasbench/internal/dataset"
 	"mlaasbench/internal/pipeline"
 	"mlaasbench/internal/platforms"
@@ -129,6 +131,7 @@ func FuzzModelDecoder(f *testing.F) {
 		fixCRC(mut)
 		f.Add(mut)
 	}
+	f.Add(boolTagArtifact(f))
 	f.Add([]byte{})
 	f.Add([]byte("MLMF"))
 	f.Add(bytes.Repeat([]byte{0x01}, mlmfHeaderSize+8))
@@ -145,6 +148,46 @@ func FuzzModelDecoder(f *testing.F) {
 			t.Fatalf("accepted model fails to re-encode: %v", err)
 		}
 	})
+}
+
+// TestModelDecoderRefusesBoolParamTag: params are written as float, int or
+// string only; an MLMF whose param carries the retired bool tag (4) is
+// corrupt, an error and no panic.
+func TestModelDecoderRefusesBoolParamTag(t *testing.T) {
+	b := boolTagArtifact(t)
+	if _, _, err := DecodeModel(b); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("DecodeModel = %v, want codec.ErrCorrupt", err)
+	}
+}
+
+// boolTagArtifact encodes a local logreg model and rewrites the tag of its
+// first "penalty" param from string (3) to the retired bool tag (4).
+func boolTagArtifact(t testing.TB) []byte {
+	p, err := platforms.New("local")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := p.Surface().DefaultConfig("logreg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := synth.GenerateClean(synth.Spec{Name: "bool-tag", Gen: synth.GenLinear, N: 20, D: 2, Noise: 0.2}, synth.Quick, 1)
+	m, err := p.Fit(cfg, train, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EncodeModel("bool/key", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := append(codec.AppendString(nil, "penalty"), 3)
+	i := bytes.Index(b, key)
+	if i < 0 {
+		t.Fatal("no penalty param in the artifact")
+	}
+	b[i+len(key)-1] = 4
+	fixCRC(b)
+	return b
 }
 
 // fixCRC recomputes the trailing CRC of an MLDS or MLMF buffer after a
