@@ -45,8 +45,8 @@ import (
 // Default suite: the committed kernel benchmarks. Fast enough to run
 // -count 5 in minutes; the 16s/op sweep benchmarks are opt-in via -bench.
 const (
-	defaultBench = "BenchmarkGEMM$|MLPForwardBatch|KNNPredictBatch|WireCodec|DatasetLoad|ModelDecodeMLMF|RequestTelemetry|MetricLookup|TreeFit"
-	defaultPkgs  = "./internal/linalg,./internal/classifiers,./internal/wire,./internal/store,./internal/telemetry"
+	defaultBench = "BenchmarkGEMM$|MLPForwardBatch|KNNPredictBatch|WireCodec|DatasetLoad|ModelDecodeMLMF|RequestTelemetry|MetricLookup|TreeFit|FittedPredict"
+	defaultPkgs  = "./internal/linalg,./internal/classifiers,./internal/pipeline,./internal/wire,./internal/store,./internal/telemetry"
 )
 
 // Exit codes: 0 clean, 1 usage or I/O error, 2 regression detected.
@@ -203,6 +203,9 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 		return exitErr
 	}
 	perf.WriteComparison(stdout, cmp)
+	if cmp.NotComparable > 0 {
+		fmt.Fprintf(stdout, "%d series not comparable: the records were measured at different -benchtime values\n", cmp.NotComparable)
+	}
 	if cmp.Regressions > 0 {
 		fmt.Fprintf(stdout, "%d regression(s) beyond the %.0f%% threshold\n", cmp.Regressions, *threshold*100)
 		if *reportOnly {

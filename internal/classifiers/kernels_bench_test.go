@@ -69,7 +69,7 @@ func clusteredData() (xTr [][]float64, yTr []int, queries [][]float64) {
 	ds := synth.GenerateClean(synth.Spec{Name: "bench-clusters", Gen: synth.GenClusters, N: 2000, D: 32, Imbalance: 0.5}, synth.Full, 1234)
 	var sc preprocess.Standard
 	sc.Fit(ds.X[:1600])
-	return sc.Transform(ds.X[:1600]), ds.Y[:1600], sc.Transform(ds.X[1600:1856])
+	return preprocess.Transform(&sc, ds.X[:1600]), ds.Y[:1600], preprocess.Transform(&sc, ds.X[1600:1856])
 }
 
 // BenchmarkKNNPredictBatchClustered is BenchmarkKNNPredictBatch on

@@ -60,18 +60,39 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet sweep is a multi-second integration test")
 	}
-	ctx := context.Background()
+	checkFleetByteIdentical(t, fleetOpts(), 1, 2, 3)
+}
+
+// TestFleetSweepMicrosoftByteIdentical sends Microsoft's whole grid through
+// HTTP train on one replica. Its surface defaults include one outside the
+// registry range (SVM's max_iter=1), so a train path that re-checked
+// parameters more strictly than the in-process sweep would fail here.
+func TestFleetSweepMicrosoftByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet sweep is a multi-second integration test")
+	}
 	opts := fleetOpts()
+	opts.MaxDatasets = 1
+	opts.Platforms = []string{"microsoft"}
+	checkFleetByteIdentical(t, opts, 1)
+}
+
+// checkFleetByteIdentical runs opts in process and then across each fleet
+// size, and fails unless every fleet sweep merges to the same measurements,
+// datasets and ordering.
+func checkFleetByteIdentical(t *testing.T, opts core.Options, fleetSizes ...int) {
+	t.Helper()
+	ctx := context.Background()
 	want, err := core.RunSweep(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stripMicros(want)
 
-	for _, replicas := range []int{1, 2, 3} {
+	for _, replicas := range fleetSizes {
 		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
 			urls := startReplicas(t, replicas)
-			got, err := core.RunSweepFleet(ctx, fleetOpts(), urls)
+			got, err := core.RunSweepFleet(ctx, opts, urls)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,6 +15,7 @@ import (
 
 	"mlaasbench/internal/dataset"
 	"mlaasbench/internal/linalg"
+	"mlaasbench/internal/preprocess"
 	"mlaasbench/internal/stats"
 )
 
@@ -201,19 +202,16 @@ func (f *FisherLDA) FitTransform(x [][]float64, y []int) [][]float64 {
 	return f.Transform(x)
 }
 
-// Transform projects rows onto the learned direction (1 output feature).
-// The projections share one flat backing array — one allocation for the
-// whole batch instead of a 1-element slice per row; each value is the same
-// ascending-index Dot as before.
-func (f *FisherLDA) Transform(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	backing := make([]float64, len(x))
-	for i, row := range x {
-		backing[i] = linalg.Dot(f.w, row)
-		out[i] = backing[i : i+1 : i+1]
-	}
-	return out
-}
+// Transform projects rows onto the learned direction (1 output feature)
+// into a new matrix the caller owns (see preprocess.Transform).
+func (f *FisherLDA) Transform(x [][]float64) [][]float64 { return preprocess.Transform(f, x) }
+
+// Width implements preprocess.RowTransform: one output feature.
+func (*FisherLDA) Width(int) int { return 1 }
+
+// TransformRow implements preprocess.RowTransform: the row's projection,
+// one ascending-index Dot.
+func (f *FisherLDA) TransformRow(dst, src []float64) { dst[0] = linalg.Dot(f.w, src) }
 
 func labelsAsFloats(y []int) []float64 {
 	out := make([]float64, len(y))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // CompareOptions tune regression detection.
@@ -40,6 +41,11 @@ type Delta struct {
 	Floor       float64 `json:"floor"`
 	Regression  bool    `json:"regression,omitempty"`
 	Improvement bool    `json:"improvement,omitempty"`
+	// NotComparable names the two -benchtime values ("1x vs 300ms", new
+	// first) when the records were measured at different ones: such a
+	// delta is shown but never judged, since a single cold iteration and a
+	// warmed 300ms run measure different things.
+	NotComparable string `json:"not_comparable,omitempty"`
 }
 
 // Comparison is the full diff of two records.
@@ -53,6 +59,9 @@ type Comparison struct {
 	OnlyOld     []string `json:"only_old,omitempty"`
 	OnlyNew     []string `json:"only_new,omitempty"`
 	Regressions int      `json:"regressions"`
+	// NotComparable counts the deltas left unjudged for a -benchtime
+	// mismatch.
+	NotComparable int `json:"not_comparable,omitempty"`
 }
 
 // Compare diffs every series the two records share. It never errors on
@@ -65,6 +74,10 @@ func Compare(old, new *Record, opts CompareOptions) (*Comparison, error) {
 		NewLabel: recLabel(new),
 		EnvMatch: old.Env.Same(new.Env),
 	}
+	notComparable := ""
+	if ob, nb := benchtime(old), benchtime(new); ob != "" && nb != "" && ob != nb {
+		notComparable = nb + " vs " + ob
+	}
 	seen := map[[2]string]bool{}
 	for _, nr := range new.Results {
 		or := old.Result(nr.Name, nr.Unit)
@@ -73,7 +86,12 @@ func Compare(old, new *Record, opts CompareOptions) (*Comparison, error) {
 			continue
 		}
 		seen[[2]string{nr.Name, nr.Unit}] = true
-		cmp.Deltas = append(cmp.Deltas, judge(*or, nr, opts))
+		d := judge(*or, nr, opts)
+		if notComparable != "" {
+			d.Regression, d.Improvement, d.NotComparable = false, false, notComparable
+			cmp.NotComparable++
+		}
+		cmp.Deltas = append(cmp.Deltas, d)
 	}
 	for _, or := range old.Results {
 		if !seen[[2]string{or.Name, or.Unit}] {
@@ -128,6 +146,18 @@ func judge(old, new Result, opts CompareOptions) Delta {
 	return d
 }
 
+// benchtime returns the -benchtime a record's Source names, or "" when it
+// names none (loadgen records, hand-made ones).
+func benchtime(rec *Record) string {
+	f := strings.Fields(rec.Source)
+	for i := 0; i+1 < len(f); i++ {
+		if f[i] == "-benchtime" {
+			return f[i+1]
+		}
+	}
+	return ""
+}
+
 func recLabel(rec *Record) string {
 	if rec.Label != "" {
 		return rec.Label
@@ -151,6 +181,8 @@ func WriteComparison(w io.Writer, cmp *Comparison) {
 			verdict = "! REGRESSION"
 		case d.Improvement:
 			verdict = "+ improved"
+		case d.NotComparable != "":
+			verdict = "not comparable (" + d.NotComparable + ")"
 		}
 		fmt.Fprintf(w, "  %-34s %-12s %14s %14s %+8.1f%% %7.1f%%  %s\n",
 			d.Name, d.Unit, formatValue(d.OldMean, d.Unit), formatValue(d.NewMean, d.Unit),

@@ -133,3 +133,34 @@ func TestComparePartialOverlapListsExtras(t *testing.T) {
 		t.Errorf("rendered comparison omits extras:\n%s", out)
 	}
 }
+
+// TestCompareBenchtimeMismatchNotComparable: a candidate measured at
+// -benchtime 1x against a baseline measured at 300ms is shown but never
+// judged, however far apart the means; the same records at one benchtime
+// still flag the regression.
+func TestCompareBenchtimeMismatchNotComparable(t *testing.T) {
+	old := mkRecord("old", mkResult("BenchmarkTreeFit", "allocs/op", 14, 14, 14))
+	old.Source = "go test -run ^$ -bench TreeFit -benchtime 300ms -count=5 rounds ./internal/classifiers"
+	cold := mkRecord("new", mkResult("BenchmarkTreeFit", "allocs/op", 25))
+	cold.Source = "go test -run ^$ -bench TreeFit -benchtime 1x -count=1 rounds ./internal/classifiers"
+	cmp, err := Compare(old, cold, DefaultCompareOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := cmp.Deltas[0]
+	if cmp.Regressions != 0 || cmp.NotComparable != 1 || d.Regression || d.NotComparable != "1x vs 300ms" {
+		t.Fatalf("benchtime mismatch judged: %+v", cmp)
+	}
+	var sb strings.Builder
+	WriteComparison(&sb, cmp)
+	if !strings.Contains(sb.String(), "not comparable (1x vs 300ms)") {
+		t.Errorf("rendered comparison does not say why:\n%s", sb.String())
+	}
+	cold.Source = old.Source
+	if cmp, err = Compare(old, cold, DefaultCompareOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if cmp.Regressions != 1 || cmp.NotComparable != 0 {
+		t.Fatalf("same benchtime: regressions %d, not comparable %d", cmp.Regressions, cmp.NotComparable)
+	}
+}

@@ -16,16 +16,39 @@ import (
 // FittedTransform is one FEAT option after fitting on a training set: the
 // learned statistics (scaler moments, selected columns, LDA projection) kept
 // resident so query points can be transformed without touching the training
-// data again. Apply is read-only and safe for concurrent use.
+// data again. Every option is row-local, so the transform is one row
+// kernel; Apply is read-only and safe for concurrent use.
 type FittedTransform struct {
-	feat   Feat
-	scaler preprocess.Scaler // Kind "scaler"
-	cols   []int             // Kind "filter": kept columns, ascending
-	lda    *featsel.FisherLDA
+	feat Feat
+	// row is the option's kernel: a preprocess.Scaler, the filter's
+	// columns or a *featsel.FisherLDA; nil for "none".
+	row preprocess.RowTransform
+}
+
+// columns is the filter option's row kernel: it gathers the kept columns,
+// ascending.
+type columns []int
+
+// Width implements preprocess.RowTransform.
+func (c columns) Width(int) int { return len(c) }
+
+// TransformRow implements preprocess.RowTransform.
+func (c columns) TransformRow(dst, src []float64) {
+	for k, j := range c {
+		dst[k] = src[j]
+	}
 }
 
 // Feat returns the option this transform was fitted for.
 func (t *FittedTransform) Feat() Feat { return t.feat }
+
+// stage names the telemetry stage a FEAT kind is timed under.
+func stage(kind string) string {
+	if kind == "scaler" {
+		return "preprocess"
+	}
+	return "featsel"
+}
 
 // FitFeat fits the FEAT option on the training set and returns the reusable
 // transform plus the transformed training matrix. Apply on any rows then
@@ -38,10 +61,8 @@ func FitFeat(f Feat, train *dataset.Dataset) (*FittedTransform, [][]float64, err
 // FitFeatCtx is FitFeat with context-routed stage timing (see Run).
 func FitFeatCtx(ctx context.Context, f Feat, train *dataset.Dataset) (*FittedTransform, [][]float64, error) {
 	switch f.Kind {
-	case "scaler":
-		defer telemetry.TimeCtx(ctx, "preprocess")()
-	case "filter", "fisherlda":
-		defer telemetry.TimeCtx(ctx, "featsel")()
+	case "scaler", "filter", "fisherlda":
+		defer telemetry.TimeCtx(ctx, stage(f.Kind))()
 	}
 	t := &FittedTransform{feat: f}
 	switch f.Kind {
@@ -53,8 +74,8 @@ func FitFeatCtx(ctx context.Context, f Feat, train *dataset.Dataset) (*FittedTra
 			return nil, nil, err
 		}
 		sc.Fit(train.X)
-		t.scaler = sc
-		return t, sc.Transform(train.X), nil
+		t.row = sc
+		return t, preprocess.Transform(sc, train.X), nil
 	case "filter":
 		sel, err := featsel.New(f.Name)
 		if err != nil {
@@ -66,54 +87,41 @@ func FitFeatCtx(ctx context.Context, f Feat, train *dataset.Dataset) (*FittedTra
 		}
 		cols := sel.Select(train.X, train.Y, k)
 		sort.Ints(cols)
-		t.cols = cols
+		t.row = columns(cols)
 		return t, train.SelectFeatures(cols).X, nil
 	case "fisherlda":
 		lda := &featsel.FisherLDA{}
 		xTr := lda.FitTransform(train.X, train.Y)
-		t.lda = lda
+		t.row = lda
 		return t, xTr, nil
 	default:
 		return nil, nil, fmt.Errorf("pipeline: unknown FEAT kind %q", f.Kind)
 	}
 }
 
-// Apply transforms query rows with the fitted statistics. The inputs are
-// never modified; the "none" option returns the rows unchanged.
+// Apply transforms query rows with the fitted statistics into a new matrix
+// the caller owns. The inputs are never modified; the "none" option returns
+// the rows themselves, not a copy.
 func (t *FittedTransform) Apply(points [][]float64) [][]float64 {
 	return t.ApplyCtx(context.Background(), points)
 }
 
 // ApplyCtx is Apply with context-routed stage timing (see Run).
 func (t *FittedTransform) ApplyCtx(ctx context.Context, points [][]float64) [][]float64 {
-	switch t.feat.Kind {
-	case "", "none":
+	var s preprocess.Scratch
+	return t.applyInto(ctx, &s, points)
+}
+
+// applyInto is ApplyCtx writing into s: the rows it returns belong to s
+// (for "none", they are points themselves) and are valid until s is reused.
+func (t *FittedTransform) applyInto(ctx context.Context, s *preprocess.Scratch, points [][]float64) [][]float64 {
+	if t.row == nil {
 		return points
-	case "scaler":
-		defer telemetry.TimeCtx(ctx, "preprocess")()
-		return t.scaler.Transform(points)
-	case "filter":
-		defer telemetry.TimeCtx(ctx, "featsel")()
-		// One flat backing array for the whole batch: a single allocation
-		// instead of one per row on the serving hot path.
-		w := len(t.cols)
-		flat := make([]float64, len(points)*w)
-		out := make([][]float64, len(points))
-		for i, row := range points {
-			dst := flat[i*w : (i+1)*w : (i+1)*w]
-			for k, c := range t.cols {
-				dst[k] = row[c]
-			}
-			out[i] = dst
-		}
-		return out
-	case "fisherlda":
-		defer telemetry.TimeCtx(ctx, "featsel")()
-		return t.lda.Transform(points)
 	}
-	// FitFeat rejects unknown kinds, so a FittedTransform always has a
-	// recognized one.
-	panic("pipeline: Apply on unfitted transform")
+	w := telemetry.StartStopwatch(ctx, stage(t.feat.Kind))
+	out := preprocess.TransformInto(s, t.row, points)
+	w.Stop()
+	return out
 }
 
 // FittedPipeline is a trained pipeline configuration: the fitted FEAT
@@ -160,10 +168,18 @@ func (fp *FittedPipeline) Predict(points [][]float64) []int {
 	return fp.PredictCtx(context.Background(), points)
 }
 
-// PredictCtx is Predict with context-routed stage timing (see Run).
+// PredictCtx is Predict with context-routed stage timing (see Run). The
+// transformed rows live in a pooled scratch borrowed for this call alone, so
+// the forward pass allocates its labels and not a copy of points; that is
+// safe because no classifier keeps its Predict input
+// (TestPredictDoesNotRetainInput). The scratch goes back on a normal return
+// only: a panicking call leaves it to the collector.
 func (fp *FittedPipeline) PredictCtx(ctx context.Context, points [][]float64) []int {
-	xQ := fp.transform.ApplyCtx(ctx, points)
-	stop := telemetry.TimeCtx(ctx, "predict")
-	defer stop()
-	return fp.clf.Predict(xQ)
+	s := GetScratch()
+	xQ := fp.transform.applyInto(ctx, s, points)
+	w := telemetry.StartStopwatch(ctx, "predict")
+	labels := fp.clf.Predict(xQ)
+	w.Stop()
+	PutScratch(s)
+	return labels
 }

@@ -62,11 +62,11 @@ func appendFittedTransform(b []byte, t *FittedTransform) ([]byte, error) {
 	case "", "none":
 		return b, nil
 	case "scaler":
-		return preprocess.AppendScaler(b, t.scaler)
+		return preprocess.AppendScaler(b, t.row.(preprocess.Scaler))
 	case "filter":
-		return codec.AppendInts(b, t.cols), nil
+		return codec.AppendInts(b, t.row.(columns)), nil
 	case "fisherlda":
-		return featsel.AppendFisherLDA(b, t.lda), nil
+		return featsel.AppendFisherLDA(b, t.row.(*featsel.FisherLDA)), nil
 	default:
 		return nil, fmt.Errorf("pipeline: cannot serialize FEAT kind %q", t.feat.Kind)
 	}
@@ -86,21 +86,22 @@ func decodeFittedTransform(r *codec.Reader) (*FittedTransform, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.scaler = sc
+		t.row = sc
 	case "filter":
-		t.cols = r.Ints(maxFilterCols)
-		for _, c := range t.cols {
+		cols := r.Ints(maxFilterCols)
+		for _, c := range cols {
 			if c < 0 {
 				r.Fail("filter column %d negative", c)
 				break
 			}
 		}
+		t.row = columns(cols)
 	case "fisherlda":
 		lda, err := featsel.DecodeFisherLDA(r)
 		if err != nil {
 			return nil, err
 		}
-		t.lda = lda
+		t.row = lda
 	default:
 		return nil, fmt.Errorf("%w: unknown FEAT kind %q", codec.ErrCorrupt, t.feat.Kind)
 	}

@@ -1,10 +1,14 @@
 package platforms
 
 import (
+	"context"
+	"math"
+	"sync"
 	"testing"
 
 	"mlaasbench/internal/dataset"
 	"mlaasbench/internal/pipeline"
+	"mlaasbench/internal/preprocess"
 	"mlaasbench/internal/rng"
 	"mlaasbench/internal/synth"
 )
@@ -125,4 +129,57 @@ func TestFitValidatesSurface(t *testing.T) {
 	if _, err := p.Fit(pipeline.Config{Classifier: "randomforest"}, ds, 1); err == nil {
 		t.Fatal("amazon must reject classifiers outside its surface at Fit")
 	}
+}
+
+// TestBinnedPredictMatchesOracle: Amazon's resident model, which expands
+// its one-hot rows into a pooled scratch, labels what its pipeline labels
+// on the owned-copy binning, leaves its input bit-for-bit unchanged, and
+// keeps both true when four clients predict at once through four shards
+// each (the race detector runs this package in full).
+func TestBinnedPredictMatchesOracle(t *testing.T) {
+	ds := synth.GenerateClean(synth.CircleSpec(), synth.Quick, 11)
+	sp := ds.StratifiedSplit(0.7, rng.New(3))
+	var points [][]float64
+	for len(points) < 256 {
+		points = append(points, sp.Test.X...)
+	}
+	before := preprocess.Transform(&preprocess.Identity{}, points)
+	untouched := func(what string) {
+		t.Helper()
+		for i, row := range points {
+			for j, v := range row {
+				if math.Float64bits(v) != math.Float64bits(before[i][j]) {
+					t.Fatalf("%s modified input [%d][%d]", what, i, j)
+				}
+			}
+		}
+	}
+	a := newAmazon()
+	cfg, err := a.Surface().DefaultConfig(a.BaselineClassifier())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, err := a.Fit(cfg, sp.Train, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fm.(*binnedModel)
+	want := m.fp.Predict(preprocess.Transform(m.q, points))
+	untouched("Transform")
+	assertSameLabels(t, "PredictCtx", m.PredictCtx(context.Background(), points), want)
+	untouched("PredictCtx")
+	var wg sync.WaitGroup
+	got := make([][]int, 4)
+	for c := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[c] = pipeline.PredictSharded(m.Predict, points, 4)
+		}()
+	}
+	wg.Wait()
+	for _, labels := range got {
+		assertSameLabels(t, "PredictSharded", labels, want)
+	}
+	untouched("PredictSharded")
 }

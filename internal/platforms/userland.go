@@ -89,9 +89,14 @@ type binnedModel struct {
 	fp *pipeline.FittedPipeline
 }
 
-// PredictCtx implements FittedModel.
+// PredictCtx implements FittedModel. The one-hot rows are expanded into a
+// pooled scratch borrowed for this call, as the pipeline's own FEAT apply
+// is, and returned once the labels are back.
 func (m *binnedModel) PredictCtx(ctx context.Context, points [][]float64) []int {
-	return m.fp.PredictCtx(ctx, m.q.Transform(points))
+	s := pipeline.GetScratch()
+	labels := m.fp.PredictCtx(ctx, preprocess.TransformInto(s, m.q, points))
+	pipeline.PutScratch(s)
+	return labels
 }
 
 // Predict implements FittedModel.
@@ -100,7 +105,7 @@ func (m *binnedModel) Predict(points [][]float64) []int {
 }
 
 func (*Amazon) binner(train *dataset.Dataset) *preprocess.OneHotBinning {
-	q := &preprocess.OneHotBinning{Bins: 12}
+	q := &preprocess.OneHotBinning{QuantileBinning: preprocess.QuantileBinning{Bins: 12}}
 	q.Fit(train.X)
 	return q
 }
@@ -109,7 +114,7 @@ func (*Amazon) binner(train *dataset.Dataset) *preprocess.OneHotBinning {
 // Only X is replaced; labels and metadata are shared read-only.
 func binned(q *preprocess.OneHotBinning, ds *dataset.Dataset) *dataset.Dataset {
 	b := *ds
-	b.X = q.Transform(ds.X)
+	b.X = preprocess.Transform(q, ds.X)
 	return &b
 }
 

@@ -66,19 +66,11 @@ func DecodeScaler(r *codec.Reader) (Scaler, error) {
 	case scalerIdentity:
 		s = &Identity{}
 	case scalerStandard:
-		t := &Standard{}
-		t.mean = r.F64s(maxScalerFeatures)
-		t.std = r.F64s(maxScalerFeatures)
-		s = t
+		s = &Standard{mean: r.F64s(maxScalerFeatures), std: r.F64s(maxScalerFeatures)}
 	case scalerMinMax:
-		t := &MinMax{}
-		t.min = r.F64s(maxScalerFeatures)
-		t.span = r.F64s(maxScalerFeatures)
-		s = t
+		s = &MinMax{min: r.F64s(maxScalerFeatures), span: r.F64s(maxScalerFeatures)}
 	case scalerMaxAbs:
-		t := &MaxAbs{}
-		t.scale = r.F64s(maxScalerFeatures)
-		s = t
+		s = &MaxAbs{scale: r.F64s(maxScalerFeatures)}
 	case scalerRowNorm:
 		s = &RowNorm{P: int(r.U8())}
 	case scalerQuantileBinning:

@@ -16,16 +16,26 @@ import (
 	"sort"
 )
 
+// RowTransform is a fitted row-local transformation, the one kernel behind
+// Transform and TransformInto. Every scaler is one, and so is each of the
+// pipeline's feature selections.
+type RowTransform interface {
+	// Width is the transformed length of an input row of length d.
+	Width(d int) int
+	// TransformRow writes every element of dst, of length Width(len(src)),
+	// from src, which it only reads; it retains neither.
+	TransformRow(dst, src []float64)
+}
+
 // Scaler learns a feature-wise transformation from training data and applies
-// it to feature vectors.
+// it row by row: Transform(s, x) returns a matrix the caller owns,
+// TransformInto(sc, s, x) rows owned by the scratch sc.
 type Scaler interface {
 	// Name identifies the scaler in configs and reports.
 	Name() string
 	// Fit learns the transformation statistics from training rows.
 	Fit(x [][]float64)
-	// Transform returns transformed copies of the rows; inputs are not
-	// modified.
-	Transform(x [][]float64) [][]float64
+	RowTransform
 }
 
 // New constructs a scaler by name. Valid names: "identity", "standard",
@@ -56,8 +66,14 @@ func Names() []string {
 	return []string{"standard", "minmax", "maxabs", "l1norm", "l2norm"}
 }
 
+// sameWidth is embedded by the scalers that keep a row's length.
+type sameWidth struct{}
+
+// Width implements RowTransform.
+func (sameWidth) Width(d int) int { return d }
+
 // Identity passes features through unchanged (the baseline configuration).
-type Identity struct{}
+type Identity struct{ sameWidth }
 
 // Name implements Scaler.
 func (*Identity) Name() string { return "identity" }
@@ -65,12 +81,13 @@ func (*Identity) Name() string { return "identity" }
 // Fit implements Scaler.
 func (*Identity) Fit([][]float64) {}
 
-// Transform implements Scaler.
-func (*Identity) Transform(x [][]float64) [][]float64 { return copyRows(x) }
+// TransformRow implements RowTransform.
+func (*Identity) TransformRow(dst, src []float64) { copy(dst, src) }
 
 // Standard centers features to zero mean and unit variance (scikit-learn's
 // StandardScaler / the paper's GaussianNorm).
 type Standard struct {
+	sameWidth
 	mean, std []float64
 }
 
@@ -107,19 +124,16 @@ func (s *Standard) Fit(x [][]float64) {
 	}
 }
 
-// Transform implements Scaler.
-func (s *Standard) Transform(x [][]float64) [][]float64 {
-	out := copyRows(x)
-	for _, row := range out {
-		for j := range row {
-			row[j] = (row[j] - s.mean[j]) / s.std[j]
-		}
+// TransformRow implements RowTransform.
+func (s *Standard) TransformRow(dst, src []float64) {
+	for j, v := range src {
+		dst[j] = (v - s.mean[j]) / s.std[j]
 	}
-	return out
 }
 
 // MinMax rescales each feature to [0, 1] using the training min and max.
 type MinMax struct {
+	sameWidth
 	min, span []float64
 }
 
@@ -148,20 +162,17 @@ func (m *MinMax) Fit(x [][]float64) {
 	}
 }
 
-// Transform implements Scaler.
-func (m *MinMax) Transform(x [][]float64) [][]float64 {
-	out := copyRows(x)
-	for _, row := range out {
-		for j := range row {
-			row[j] = (row[j] - m.min[j]) / m.span[j]
-		}
+// TransformRow implements RowTransform.
+func (m *MinMax) TransformRow(dst, src []float64) {
+	for j, v := range src {
+		dst[j] = (v - m.min[j]) / m.span[j]
 	}
-	return out
 }
 
 // MaxAbs divides each feature by its training maximum absolute value,
 // preserving sparsity and sign.
 type MaxAbs struct {
+	sameWidth
 	scale []float64
 }
 
@@ -184,20 +195,17 @@ func (m *MaxAbs) Fit(x [][]float64) {
 	}
 }
 
-// Transform implements Scaler.
-func (m *MaxAbs) Transform(x [][]float64) [][]float64 {
-	out := copyRows(x)
-	for _, row := range out {
-		for j := range row {
-			row[j] /= m.scale[j]
-		}
+// TransformRow implements RowTransform.
+func (m *MaxAbs) TransformRow(dst, src []float64) {
+	for j, v := range src {
+		dst[j] = v / m.scale[j]
 	}
-	return out
 }
 
 // RowNorm normalizes each sample vector to unit Lp norm (p ∈ {1, 2}). It is
 // stateless across Fit.
 type RowNorm struct {
+	sameWidth
 	P int
 }
 
@@ -212,29 +220,26 @@ func (r *RowNorm) Name() string {
 // Fit implements Scaler.
 func (*RowNorm) Fit([][]float64) {}
 
-// Transform implements Scaler.
-func (r *RowNorm) Transform(x [][]float64) [][]float64 {
-	out := copyRows(x)
-	for _, row := range out {
-		norm := 0.0
-		for _, v := range row {
-			if r.P == 1 {
-				norm += math.Abs(v)
-			} else {
-				norm += v * v
-			}
-		}
-		if r.P != 1 {
-			norm = math.Sqrt(norm)
-		}
-		if norm == 0 {
-			continue
-		}
-		for j := range row {
-			row[j] /= norm
+// TransformRow implements RowTransform. A zero row (every element ±0, so
+// each v / 1 == v exactly) passes through unchanged.
+func (r *RowNorm) TransformRow(dst, src []float64) {
+	norm := 0.0
+	for _, v := range src {
+		if r.P == 1 {
+			norm += math.Abs(v)
+		} else {
+			norm += v * v
 		}
 	}
-	return out
+	if r.P != 1 {
+		norm = math.Sqrt(norm)
+	}
+	if norm == 0 {
+		norm = 1
+	}
+	for j, v := range src {
+		dst[j] = v / norm
+	}
 }
 
 // QuantileBinning replaces each feature with the index of its training
@@ -242,6 +247,7 @@ func (r *RowNorm) Transform(x [][]float64) [][]float64 {
 // Regression non-linear expressive power — the behaviour §6.2 detects on
 // the CIRCLE dataset (Figure 13).
 type QuantileBinning struct {
+	sameWidth
 	Bins  int
 	edges [][]float64
 }
@@ -274,19 +280,13 @@ func (q *QuantileBinning) Fit(x [][]float64) {
 	}
 }
 
-// Transform implements Scaler.
-func (q *QuantileBinning) Transform(x [][]float64) [][]float64 {
-	out := copyRows(x)
-	for _, row := range out {
-		for j := range row {
-			if j >= len(q.edges) {
-				continue
-			}
-			bin := sort.SearchFloat64s(q.edges[j], row[j])
-			row[j] = float64(bin)
-		}
+// TransformRow implements RowTransform. Features past the fitted width pass
+// through.
+func (q *QuantileBinning) TransformRow(dst, src []float64) {
+	copy(dst, src)
+	for j := range min(len(src), len(q.edges)) {
+		dst[j] = float64(sort.SearchFloat64s(q.edges[j], src[j]))
 	}
-	return out
 }
 
 // OneHotBinning quantile-bins each feature and expands it into per-bin
@@ -294,38 +294,21 @@ func (q *QuantileBinning) Transform(x [][]float64) [][]float64 {
 // weight per bin — a piecewise-constant additive model. This is Amazon ML's
 // documented "quantile binning" recipe and the mechanism behind the
 // non-linear Logistic Regression boundary the paper observes on CIRCLE
-// (Figure 13).
-type OneHotBinning struct {
-	Bins  int
-	edges [][]float64
-}
+// (Figure 13). It fits exactly as the embedded QuantileBinning does.
+type OneHotBinning struct{ QuantileBinning }
 
 // Name implements Scaler.
 func (*OneHotBinning) Name() string { return "onehotbin" }
 
-// Fit implements Scaler.
-func (o *OneHotBinning) Fit(x [][]float64) {
-	if o.Bins < 2 {
-		o.Bins = 10
-	}
-	q := &QuantileBinning{Bins: o.Bins}
-	q.Fit(x)
-	o.edges = q.edges
-}
+// Width implements RowTransform: #fitted features × Bins, whatever d.
+func (o *OneHotBinning) Width(int) int { return len(o.edges) * o.Bins }
 
-// Transform implements Scaler. Output width is #features × Bins.
-func (o *OneHotBinning) Transform(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	d := len(o.edges)
-	for i, row := range x {
-		wide := make([]float64, d*o.Bins)
-		for j := 0; j < d && j < len(row); j++ {
-			bin := sort.SearchFloat64s(o.edges[j], row[j])
-			wide[j*o.Bins+bin] = 1
-		}
-		out[i] = wide
+// TransformRow implements RowTransform.
+func (o *OneHotBinning) TransformRow(dst, src []float64) {
+	clear(dst)
+	for j := range min(len(src), len(o.edges)) {
+		dst[j*o.Bins+sort.SearchFloat64s(o.edges[j], src[j])] = 1
 	}
-	return out
 }
 
 func width(x [][]float64) int {
@@ -335,20 +318,44 @@ func width(x [][]float64) int {
 	return len(x[0])
 }
 
-// copyRows deep-copies x into one flat backing array (two allocations
-// whatever the row count; a scaler runs it on every predict). Each row is
-// capped at its length, so appending to one cannot reach the next.
-func copyRows(x [][]float64) [][]float64 {
+// Transform returns t applied to every row of x as a new matrix the caller
+// owns: one flat backing array (two allocations whatever the row count),
+// each row capped at its own length so appending to one cannot reach the
+// next.
+func Transform(t RowTransform, x [][]float64) [][]float64 {
+	var s Scratch
+	return TransformInto(&s, t, x)
+}
+
+// TransformInto is Transform writing into s: the rows it returns are carved
+// from s, grown as needed, and valid until s is next used.
+func TransformInto(s *Scratch, t RowTransform, x [][]float64) [][]float64 {
 	total := 0
 	for _, row := range x {
-		total += len(row)
+		total += t.Width(len(row))
 	}
-	flat := make([]float64, total)
-	out := make([][]float64, len(x))
+	if cap(s.flat) < total {
+		s.flat = make([]float64, total)
+	}
+	if s.rows == nil || cap(s.rows) < len(x) {
+		s.rows = make([][]float64, len(x))
+	}
+	flat, out := s.flat[:total], s.rows[:len(x)]
 	for i, row := range x {
-		out[i] = flat[:len(row):len(row)]
-		copy(out[i], row)
-		flat = flat[len(row):]
+		w := t.Width(len(row))
+		out[i] = flat[:w:w]
+		flat = flat[w:]
+		t.TransformRow(out[i], row)
 	}
 	return out
 }
+
+// Scratch is reusable row storage for TransformInto: one flat backing array
+// plus the row headers carved from it. The zero value is ready to use.
+type Scratch struct {
+	flat []float64
+	rows [][]float64
+}
+
+// Bytes is the memory s holds.
+func (s *Scratch) Bytes() int { return 8*cap(s.flat) + 24*cap(s.rows) }

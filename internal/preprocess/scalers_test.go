@@ -33,7 +33,7 @@ func TestNewResolvesAllNames(t *testing.T) {
 func TestIdentityPassThrough(t *testing.T) {
 	s := &Identity{}
 	s.Fit(trainRows)
-	out := s.Transform(trainRows)
+	out := Transform(s, trainRows)
 	for i := range trainRows {
 		for j := range trainRows[i] {
 			if out[i][j] != trainRows[i][j] {
@@ -51,7 +51,7 @@ func TestIdentityPassThrough(t *testing.T) {
 func TestStandardScaler(t *testing.T) {
 	s := &Standard{}
 	s.Fit(trainRows)
-	out := s.Transform(trainRows)
+	out := Transform(s, trainRows)
 	for j := 0; j < 2; j++ {
 		mean, variance := 0.0, 0.0
 		for i := range out {
@@ -76,7 +76,7 @@ func TestStandardScalerConstantColumn(t *testing.T) {
 	s := &Standard{}
 	rows := [][]float64{{5, 1}, {5, 2}, {5, 3}}
 	s.Fit(rows)
-	out := s.Transform(rows)
+	out := Transform(s, rows)
 	for i := range out {
 		if math.IsNaN(out[i][0]) || math.IsInf(out[i][0], 0) {
 			t.Fatal("constant column produced NaN/Inf")
@@ -88,7 +88,7 @@ func TestStandardUsesTrainStatsOnly(t *testing.T) {
 	s := &Standard{}
 	s.Fit(trainRows)
 	test := [][]float64{{100, 100}}
-	out := s.Transform(test)
+	out := Transform(s, test)
 	// (100 - 2.5) / std(1..4): definitely not zero-centered — proving test
 	// rows don't influence the statistics.
 	if out[0][0] < 10 {
@@ -99,7 +99,7 @@ func TestStandardUsesTrainStatsOnly(t *testing.T) {
 func TestMinMax(t *testing.T) {
 	s := &MinMax{}
 	s.Fit(trainRows)
-	out := s.Transform(trainRows)
+	out := Transform(s, trainRows)
 	for i := range out {
 		for j := range out[i] {
 			if out[i][j] < 0 || out[i][j] > 1 {
@@ -115,7 +115,7 @@ func TestMinMax(t *testing.T) {
 func TestMaxAbs(t *testing.T) {
 	s := &MaxAbs{}
 	s.Fit([][]float64{{-4, 2}, {2, -8}})
-	out := s.Transform([][]float64{{-4, 2}, {2, -8}})
+	out := Transform(s, [][]float64{{-4, 2}, {2, -8}})
 	if out[0][0] != -1 || out[1][1] != -1 {
 		t.Fatalf("maxabs extremes %v %v", out[0][0], out[1][1])
 	}
@@ -126,7 +126,7 @@ func TestMaxAbs(t *testing.T) {
 
 func TestRowNormL2(t *testing.T) {
 	s := &RowNorm{P: 2}
-	out := s.Transform([][]float64{{3, 4}, {0, 0}})
+	out := Transform(s, [][]float64{{3, 4}, {0, 0}})
 	if math.Abs(math.Hypot(out[0][0], out[0][1])-1) > 1e-12 {
 		t.Fatalf("row not unit norm: %v", out[0])
 	}
@@ -138,7 +138,7 @@ func TestRowNormL2(t *testing.T) {
 
 func TestRowNormL1(t *testing.T) {
 	s := &RowNorm{P: 1}
-	out := s.Transform([][]float64{{2, -2}})
+	out := Transform(s, [][]float64{{2, -2}})
 	if math.Abs(out[0][0]-0.5) > 1e-12 || math.Abs(out[0][1]+0.5) > 1e-12 {
 		t.Fatalf("l1 normalization wrong: %v", out[0])
 	}
@@ -151,7 +151,7 @@ func TestQuantileBinning(t *testing.T) {
 		rows = append(rows, []float64{float64(i)})
 	}
 	q.Fit(rows)
-	out := q.Transform(rows)
+	out := Transform(q, rows)
 	// Values must be integer bin indices 0..3 and monotone in the input.
 	prev := -1.0
 	for i := range out {
@@ -180,7 +180,7 @@ func TestQuantileBinningMakesLRNonLinearReady(t *testing.T) {
 	}
 	q := &QuantileBinning{Bins: 8}
 	q.Fit(rows)
-	out := q.Transform(rows)
+	out := Transform(q, rows)
 	distinct := map[float64]bool{}
 	for _, row := range out {
 		distinct[row[0]] = true
@@ -191,14 +191,14 @@ func TestQuantileBinningMakesLRNonLinearReady(t *testing.T) {
 }
 
 func TestOneHotBinningShape(t *testing.T) {
-	o := &OneHotBinning{Bins: 4}
+	o := &OneHotBinning{QuantileBinning{Bins: 4}}
 	r := rng.New(7)
 	var rows [][]float64
 	for i := 0; i < 50; i++ {
 		rows = append(rows, []float64{r.NormFloat64(), r.NormFloat64()})
 	}
 	o.Fit(rows)
-	out := o.Transform(rows)
+	out := Transform(o, rows)
 	if len(out[0]) != 8 {
 		t.Fatalf("one-hot width %d, want 2 features × 4 bins = 8", len(out[0]))
 	}
@@ -222,13 +222,13 @@ func TestOneHotBinningShape(t *testing.T) {
 
 func TestOneHotBinningGeneralizes(t *testing.T) {
 	// Out-of-range test values must still land in a valid bin.
-	o := &OneHotBinning{Bins: 5}
+	o := &OneHotBinning{QuantileBinning{Bins: 5}}
 	var rows [][]float64
 	for i := 0; i < 20; i++ {
 		rows = append(rows, []float64{float64(i)})
 	}
 	o.Fit(rows)
-	out := o.Transform([][]float64{{-1000}, {1000}})
+	out := Transform(o, [][]float64{{-1000}, {1000}})
 	for _, row := range out {
 		sum := 0.0
 		for _, v := range row {
@@ -261,7 +261,7 @@ func TestQuickScalersFinite(t *testing.T) {
 			rows[i] = row
 		}
 		s.Fit(rows)
-		out := s.Transform(rows)
+		out := Transform(s, rows)
 		if len(out) != n {
 			return false
 		}
@@ -282,10 +282,10 @@ func TestQuickScalersFinite(t *testing.T) {
 	}
 }
 
-// TestCopyRowsFlatBacking: the copy every scaler's Transform starts from is
-// two allocations whatever the row count (it was one per row), each row is
-// capped at its own length so an append cannot spill into its neighbour,
-// and ragged input keeps its shape.
+// TestCopyRowsFlatBacking: the owned copy Transform returns (here the
+// identity's, a plain copy) is two allocations whatever the row count, each
+// row is capped at its own length so an append cannot spill into its
+// neighbour, and ragged input keeps its shape.
 func TestCopyRowsFlatBacking(t *testing.T) {
 	x := make([][]float64, 256)
 	for i := range x {
@@ -294,11 +294,12 @@ func TestCopyRowsFlatBacking(t *testing.T) {
 			x[i][j] = float64(i*32 + j)
 		}
 	}
-	if n := testing.AllocsPerRun(20, func() { copyRows(x) }); n != 2 {
-		t.Errorf("copyRows of 256 rows allocates %v times, want 2", n)
+	id := &Identity{}
+	if n := testing.AllocsPerRun(20, func() { Transform(id, x) }); n != 2 {
+		t.Errorf("Transform of 256 rows allocates %v times, want 2", n)
 	}
 	ragged := [][]float64{{1, 2, 3}, {}, {4}, {5, 6}}
-	out := copyRows(ragged)
+	out := Transform(id, ragged)
 	for i, row := range out {
 		if len(row) != len(ragged[i]) || cap(row) != len(row) {
 			t.Fatalf("row %d: len %d cap %d, want %d and %d", i, len(row), cap(row), len(ragged[i]), len(ragged[i]))
@@ -307,5 +308,59 @@ func TestCopyRowsFlatBacking(t *testing.T) {
 	out[0] = append(out[0], 99)
 	if out[2][0] != 4 || ragged[0][0] != 1 {
 		t.Fatal("append to one copied row reached another row or the input")
+	}
+}
+
+// TestTransformIntoReusedScratch: every scaler, One-hot binning included,
+// writes the same bits into a scratch that still holds another batch's
+// rows as into a fresh matrix, leaves its input untouched, and a second
+// batch of the same shape reuses the scratch without allocating.
+func TestTransformIntoReusedScratch(t *testing.T) {
+	r := rng.New(5)
+	batch := func(n, d int) [][]float64 {
+		x := make([][]float64, n)
+		for i := range x {
+			x[i] = make([]float64, d)
+			for j := range x[i] {
+				x[i][j] = r.Normal(0, 3)
+			}
+		}
+		return x
+	}
+	train, query := batch(64, 6), batch(32, 6)
+	before := Transform(&Identity{}, query)
+	var all []Scaler
+	for _, name := range append(Names(), "identity", "binning") {
+		s, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, s)
+	}
+	all = append(all, &OneHotBinning{QuantileBinning{Bins: 4}})
+	for _, s := range all {
+		s.Fit(train)
+		want := Transform(s, query)
+		var sc Scratch
+		TransformInto(&sc, s, batch(40, 6)) // leave another batch's values behind
+		got := TransformInto(&sc, s, query)
+		for i := range want {
+			if len(got[i]) != len(want[i]) || cap(got[i]) != len(got[i]) {
+				t.Fatalf("%s row %d: len %d cap %d, want len %d capped", s.Name(), i, len(got[i]), cap(got[i]), len(want[i]))
+			}
+			for j := range want[i] {
+				if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("%s [%d][%d]: scratch %v, fresh %v", s.Name(), i, j, got[i][j], want[i][j])
+				}
+			}
+			for j := range query[i] {
+				if math.Float64bits(query[i][j]) != math.Float64bits(before[i][j]) {
+					t.Fatalf("%s modified its input at [%d][%d]", s.Name(), i, j)
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { TransformInto(&sc, s, query) }); n != 0 {
+			t.Errorf("%s: TransformInto into a grown scratch allocates %v times, want 0", s.Name(), n)
+		}
 	}
 }

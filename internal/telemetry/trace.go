@@ -529,11 +529,35 @@ func (r *Registry) Time(stage string) func() time.Duration {
 // and histogram sums reconcilable); otherwise it degrades to a plain
 // registry timer on ctx's registry.
 func TimeCtx(ctx context.Context, stage string) func() time.Duration {
+	return StartStopwatch(ctx, stage).Stop
+}
+
+// Stopwatch is a running TimeCtx timer held by value, so a forward pass can
+// time its stages without allocating the closure TimeCtx returns.
+type Stopwatch struct {
+	span  *Span
+	reg   *Registry
+	stage string
+	start time.Time
+}
+
+// StartStopwatch starts timing stage under ctx exactly as TimeCtx does.
+func StartStopwatch(ctx context.Context, stage string) Stopwatch {
 	if SpanFrom(ctx) != nil {
 		_, sp := StartSpan(ctx, stage)
-		return sp.End
+		return Stopwatch{span: sp}
 	}
-	return registryFrom(ctx).Time(stage)
+	return Stopwatch{reg: registryFrom(ctx), stage: stage, start: time.Now()}
+}
+
+// Stop ends the stage and records it, as calling TimeCtx's result does.
+func (w Stopwatch) Stop() time.Duration {
+	if w.span != nil {
+		return w.span.End()
+	}
+	d := time.Since(w.start)
+	w.reg.Histogram(StageHistogram, "stage", w.stage).Observe(d.Seconds())
+	return d
 }
 
 // WriteDefaultSummary writes the Default registry's summary — what
