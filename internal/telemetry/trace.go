@@ -515,12 +515,7 @@ func (s *Span) spanDataLocked(path string, rootEnd time.Time) SpanData {
 //	clf.Fit(...)
 //	stop()
 func (r *Registry) Time(stage string) func() time.Duration {
-	start := time.Now()
-	return func() time.Duration {
-		d := time.Since(start)
-		r.Histogram(StageHistogram, "stage", stage).Observe(d.Seconds())
-		return d
-	}
+	return Stopwatch{reg: r, stage: stage, start: time.Now()}.Stop
 }
 
 // TimeCtx times a stage under ctx: when ctx carries a span the stage
