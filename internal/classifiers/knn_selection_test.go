@@ -1,6 +1,7 @@
 package classifiers
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -183,6 +184,87 @@ func TestKNNSelectionMatchesFullSort(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Inputs large and clustered enough for the cluster-indexed search:
+	// the serve_dense shape, then 720 rows in 8 clusters where every
+	// fourth row copies an earlier one with the other label (exact ties at
+	// the k-th distance), with NaN and ±Inf in training rows, in queries,
+	// in both or in neither, and once on an integer grid, where distinct
+	// rows tie too. Each model answers a one-row call, a call that holds
+	// the non-finite queries and a 128-row call that holds none.
+	checkKNN := func(name string, x [][]float64, y []int, queries [][]float64, special bool) {
+		t.Helper()
+		finite := slices.DeleteFunc(slices.Clone(queries), func(q []float64) bool {
+			return slices.ContainsFunc(q, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
+		})
+		for _, k := range []int{1, 5, 200} {
+			for _, weights := range []string{"uniform", "distance"} {
+				knn := &KNN{params: bound("knn", Params{"n_neighbors": float64(k), "weights": weights})}
+				if err := knn.Fit(x, y, nil); err != nil {
+					t.Fatal(err)
+				}
+				for _, batch := range [][][]float64{queries[:1], queries, finite[:min(128, len(finite))]} {
+					got := knn.Predict(batch)
+					if want := denseScanKNNPredict(knn, batch); !slices.Equal(got, want) {
+						t.Fatalf("%s k=%d %s, %d rows: search and dense scan disagree", name, k, weights, len(batch))
+					}
+					if !special && !slices.Equal(got, referenceKNNPredict(knn, batch)) {
+						t.Fatalf("%s k=%d %s, %d rows: search and full sort disagree", name, k, weights, len(batch))
+					}
+				}
+			}
+		}
+	}
+	xc, yc, qc := clusteredData()
+	checkKNN("clusters", xc, yc, qc, false)
+
+	const n, d, nc = 720, 12, 8
+	centres := make([][]float64, nc)
+	for c := range centres {
+		centres[c] = make([]float64, d)
+		for j := range centres[c] {
+			centres[c][j] = 6 * r.NormFloat64()
+		}
+	}
+	for _, sp := range []struct{ train, query, grid bool }{
+		{false, false, false}, {true, false, false}, {false, true, false}, {true, true, false}, {false, false, true},
+	} {
+		x := make([][]float64, n)
+		y := make([]int, n)
+		for i := range x {
+			if i >= 4 && i%4 == 0 {
+				src := r.Intn(i)
+				x[i], y[i] = slices.Clone(x[src]), 1-y[src]
+				continue
+			}
+			c := r.Intn(nc)
+			x[i] = make([]float64, d)
+			for j := range x[i] {
+				x[i][j] = centres[c][j] + r.NormFloat64()
+				if sp.grid {
+					x[i][j] = math.Round(2 * x[i][j])
+				}
+			}
+			y[i] = (c + r.Intn(3)/2) % 2
+			if sp.train && i%9 == 1 {
+				x[i][r.Intn(d)] = special[r.Intn(3)]
+			}
+		}
+		queries := make([][]float64, 300)
+		for i := range queries {
+			queries[i] = slices.Clone(x[r.Intn(n)])
+			for j := range queries[i] {
+				queries[i][j] += 0.5 * r.NormFloat64()
+				if sp.grid {
+					queries[i][j] = math.Round(queries[i][j])
+				}
+			}
+			if sp.query && i%5 == 2 {
+				queries[i][r.Intn(d)] = special[r.Intn(3)]
+			}
+		}
+		checkKNN(fmt.Sprintf("ties special=%+v", sp), x, y, queries, sp.train || sp.query)
 	}
 }
 
