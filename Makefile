@@ -47,8 +47,9 @@ test:
 # detector, which triples check time without exercising new interleavings.
 # classifiers and linalg likewise race only what shares state between
 # calls: the pooled forward-pass scratch (kNN heaps and survivor cells
-# reused across tiles, MLP row blocks) and the kernels that fill it, and the
-# pooled growth memory of tree-family fits.
+# reused across tiles, MLP row blocks) and the kernels that fill it, a kNN
+# model's cluster index (built lazily by whichever call needs it first) and
+# the pooled growth memory of tree-family fits.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run 'TestParallel|TestSweepCancellation' ./internal/core

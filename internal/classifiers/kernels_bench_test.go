@@ -87,3 +87,20 @@ func BenchmarkKNNPredictBatchClustered(b *testing.B) {
 		_ = k.Predict(queries)
 	}
 }
+
+// BenchmarkKNNPredictBatchChurn is the serve_churn call shape: a 1 500 × 16
+// `moons` concept split 1 200 train / 32 queries, unscaled, k = 5. A call
+// this small never builds the cluster index.
+func BenchmarkKNNPredictBatchChurn(b *testing.B) {
+	ds := synth.GenerateClean(synth.Spec{Name: "bench-moons", Gen: synth.GenMoons, N: 1500, D: 16, Imbalance: 0.5}, synth.Full, 1234)
+	k := &KNN{params: bound("knn", Params{"n_neighbors": 5})}
+	if err := k.Fit(ds.X[:1200], ds.Y[:1200], rng.New(7)); err != nil {
+		b.Fatal(err)
+	}
+	queries := ds.X[1200:1232]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = k.Predict(queries)
+	}
+}

@@ -1,6 +1,11 @@
 package classifiers
 
 import (
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
+
 	"mlaasbench/internal/linalg"
 	"mlaasbench/internal/rng"
 )
@@ -18,9 +23,10 @@ func init() {
 	}, func(p params) Classifier { return &KNN{params: p} })
 }
 
-// KNN is a brute-force k-nearest-neighbours classifier under the Minkowski
-// Lp metric, with uniform or inverse-distance vote weighting — the
-// scikit-learn surface from Table 1.
+// KNN is a k-nearest-neighbours classifier under the Minkowski Lp metric,
+// with uniform or inverse-distance vote weighting — the scikit-learn
+// surface from Table 1. Predict scans every training row, or skips the
+// clusters of an exact index built on first use and never serialized.
 type KNN struct {
 	params
 	x [][]float64
@@ -28,6 +34,9 @@ type KNN struct {
 	// xm is the training set packed contiguous row-major at fit time, so
 	// the Euclidean predict path can run the tiled distance kernel.
 	xm *linalg.Matrix
+	// index is the cluster index: nil until built, noKNNIndex if unusable.
+	index   atomic.Pointer[knnIndex]
+	indexMu sync.Mutex // serializes the build
 }
 
 // Name implements Classifier.
@@ -42,6 +51,7 @@ func (k *KNN) Fit(x [][]float64, y []int, _ *rng.RNG) error {
 	k.x = x
 	k.y = y
 	k.xm = linalg.FromRows(x)
+	k.index.Store(nil)
 	return nil
 }
 
@@ -54,20 +64,23 @@ func (k *KNN) Predict(x [][]float64) []int {
 	kk, p, distWeighted := k.query()
 	out := make([]int, len(x))
 	if p == 2 && k.xm != nil && k.xm.Rows > 0 {
-		k.predictEuclidean(x, out, kk, distWeighted)
+		if ix := k.clusterIndex(x, kk, distWeighted); ix != nil {
+			s := getKNNScratch(1, kk)
+			for qi, q := range x {
+				ix.search(&s.heaps[0], s, q)
+				out[qi] = s.heaps[0].vote(k.y, false)
+			}
+			putKNNScratch(s)
+		} else {
+			k.predictEuclidean(x, out, kk, distWeighted)
+		}
 		return out
 	}
 	h := newKHeap(kk)
 	for qi, q := range x {
 		h.reset()
 		for i, row := range k.x {
-			var dist float64
-			if p == 2 {
-				dist = linalg.SquaredEuclidean(row, q)
-			} else {
-				dist = linalg.MinkowskiDistance(row, q, p)
-			}
-			h.offer(dist, i)
+			h.offer(linalg.MinkowskiDistance(row, q, p), i)
 		}
 		out[qi] = h.vote(k.y, distWeighted)
 	}
@@ -83,19 +96,13 @@ func (k *KNN) query() (kk int, p float64, distWeighted bool) {
 	return kk, p, k.params.option("weights") == "distance"
 }
 
-// Shape of the Euclidean search (measurements: 256 queries, k = 5, 2-vCPU
-// Xeon 2.1 GHz; "clusters" is 1 600 × 32 standardized synth clusters,
-// "i.i.d." 2 048 × 24 N(0,1); method and tables in EXPERIMENTS.md "Exact
-// early-abandon kNN").
-//
-// knnQueryBlock queries are scored against one training tile before the
-// next tile is loaded, so the tile stays cache-resident across the block.
-// A tile is also where a query's pruning bound is refreshed: clusters
-// measures the same at 64 rows and 30 % slower at 256. The bound is loosest
-// at the start of a block — the worst of the first k rows — so a block's
-// first tile is knnFirstTile rows and tiles double up to knnTile: every row
-// of a 128-row first tile survived the first checkpoint on clusters, 31 %
-// of a 32-row one, predict 3.68 → 3.34 ms (8, 16 and 64 rows: same).
+// Shape of the Euclidean search; the measurements that chose every constant
+// here are in EXPERIMENTS.md "Exact early-abandon kNN". knnQueryBlock
+// queries are scored against one training tile before the next is loaded,
+// so the tile stays cache-resident across the block. A tile is also where a
+// query's pruning bound is refreshed; it is loosest at the start of a block
+// (the worst of the first k rows), so a block's first tile is knnFirstTile
+// rows and tiles double up to knnTile.
 const (
 	knnQueryBlock = 32
 	knnTile       = 128
@@ -105,17 +112,10 @@ const (
 // knnCheckpoint is where the first early-abandon checkpoint starts (after 8
 // features) and how far it moves back each time a tile shows it not
 // paying: more than half of the tile's (query, row) pairs still alive
-// after it. On clusters 17 % are and it never moves. On i.i.d. 80 % are, it
-// moves to 16 features (22 % alive) and predict takes 5.2 ms against 6.0 for
-// both the dense kernel and a checkpoint pinned at 8; on 64- and 128-feature
-// i.i.d. rows, where nothing can be ruled out early, pinned costs 19.6 /
-// 43.3 ms against the dense 14.5 / 27.3, moving 12.8 / 25.8. Thresholds of
-// 1/3, 2/3 and 3/4 measure the same. The move is one-way and lasts for the
-// Predict call. Tiles that start within a block's first knnTile rows have
-// no say — their bounds are still loose, and letting them vote moved i.i.d.
-// to 24 features, i.e. dense, 6.0 ms — and a checkpoint moved too far only
-// forgoes pruning: at all features the search is the dense scan plus one
-// comparison per row.
+// after it. The move is one-way and lasts for the Predict call. Tiles that
+// start within a block's first knnTile rows have no say, as their bounds
+// are still loose. A checkpoint moved too far only forgoes pruning: at all
+// features the search is the dense scan plus one comparison per row.
 const knnCheckpoint = 8
 
 // predictEuclidean is the p=2 fast path, an exact early-abandon search.
@@ -174,6 +174,156 @@ func (k *KNN) predictEuclidean(x [][]float64, out []int, kk int, distWeighted bo
 			out[q0+qi] = heaps[qi].vote(k.y, distWeighted)
 		}
 	}
+}
+
+// The cluster index's build rule (EXPERIMENTS.md "Exact early-abandon
+// kNN"): a model of knnIndexMinRows rows builds it, with knnCentres centres,
+// on its first uniform-vote Euclidean call of knnIndexMinQueries queries and
+// keeps it only if a trial search of knnTrialRows of its own rows visits at
+// most half of their (query, row) pairs, which i.i.d. data does not.
+const (
+	knnIndexMinRows    = 4 * knnTile
+	knnIndexMinQueries = 2 * knnQueryBlock
+	knnCentres         = 16
+	knnTrialRows       = 32
+	knnSkipEps         = 1e-6
+	knnIndexMaxAbs     = 1e100
+)
+
+// knnIndex holds the training rows in cluster order (x; orig maps them back
+// to training indices) and per cluster a centre row and a radius. search
+// skips cluster c when lb² exceeds the heap's worst, lb = d(q,c)·(1−ε) −
+// radius·(1+ε): no row of c is nearer, even as computed (ε = knnSkipEps,
+// values within ±knnIndexMaxAbs, lb ≥ 2⁻⁴⁵⁰; DESIGN.md §3a). Other rows are
+// offered with their training index, so the (dist, idx) heap keeps the
+// scan's k rows in any offer order, and uniform votes are integer sums.
+type knnIndex struct {
+	x, centres *linalg.Matrix
+	orig       []int
+	start      []int // cluster c is rows start[c]:start[c+1] of x
+	radius     []float64
+}
+
+var noKNNIndex = new(knnIndex)  // marks a model that cannot use an index
+var knnIndexBuilds atomic.Int64 // index builds, for TestKNNIndexBuildsOnce
+
+// clusterIndex returns the index if this call can use it, built on the
+// first call that qualifies. Distance-weighted votes, whose float sums
+// round by offer order, keep the scan.
+func (k *KNN) clusterIndex(x [][]float64, kk int, distWeighted bool) *knnIndex {
+	ix := k.index.Load()
+	if ix == nil && !distWeighted && k.xm.Rows >= knnIndexMinRows && len(x) >= knnIndexMinQueries {
+		k.indexMu.Lock()
+		if ix = k.index.Load(); ix == nil {
+			ix = buildKNNIndex(k.xm, kk)
+			k.index.Store(ix)
+		}
+		k.indexMu.Unlock()
+	}
+	if ix == nil || ix == noKNNIndex || !boundedRows(x) {
+		return nil
+	}
+	return ix
+}
+
+// boundedRows reports whether every value is within ±knnIndexMaxAbs (so
+// neither NaN nor infinite).
+func boundedRows(rows [][]float64) bool {
+	for _, row := range rows {
+		for _, v := range row {
+			if !(math.Abs(v) <= knnIndexMaxAbs) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// buildKNNIndex picks centres farthest-first from row 0 (no randomness),
+// puts each row in the cluster of its nearest centre (the lowest on a tie)
+// and runs the trial.
+func buildKNNIndex(xm *linalg.Matrix, kk int) *knnIndex {
+	if knnIndexBuilds.Add(1); !boundedRows([][]float64{xm.Data}) {
+		return noKNNIndex
+	}
+	n := xm.Rows
+	near := make([]float64, n) // squared distance to the nearest centre
+	of := make([]int, n)       // and its cluster
+	rows := []int{0}           // the training row of each centre
+	for far := 0; ; {
+		for i := range near {
+			if d := linalg.SquaredEuclidean(xm.Row(i), xm.Row(far)); len(rows) == 1 || d < near[i] {
+				near[i], of[i] = d, len(rows)-1
+			}
+		}
+		for i, d := range near {
+			if d > near[far] {
+				far = i
+			}
+		}
+		if len(rows) == knnCentres || near[far] == 0 {
+			break
+		}
+		rows = append(rows, far)
+	}
+	ix := &knnIndex{x: linalg.NewMatrix(n, xm.Cols), centres: linalg.NewMatrix(len(rows), xm.Cols),
+		orig: make([]int, n), start: make([]int, len(rows)+1), radius: make([]float64, len(rows))}
+	for i, c := range of {
+		ix.start[c+1]++
+		ix.radius[c] = max(ix.radius[c], math.Sqrt(near[i]))
+	}
+	for c, r := range rows {
+		copy(ix.centres.Row(c), xm.Row(r))
+		ix.start[c+1] += ix.start[c]
+	}
+	next := slices.Clone(ix.start)
+	for i, c := range of {
+		copy(ix.x.Row(next[c]), xm.Row(i))
+		ix.orig[next[c]] = i
+		next[c]++
+	}
+	s := getKNNScratch(1, kk)
+	defer putKNNScratch(s)
+	visited := 0
+	for t := range knnTrialRows {
+		if visited += ix.search(&s.heaps[0], s, xm.Row(t*n/knnTrialRows)); 2*visited > knnTrialRows*n {
+			return noKNNIndex
+		}
+	}
+	return ix
+}
+
+// search fills h with q's k nearest rows, the nearest centre's cluster
+// first, and returns how many rows it visited. The kernel's bound sits just
+// above the heap's worst: out of index order, a tie may win on its index.
+func (ix *knnIndex) search(h *kHeap, s *knnScratch, q []float64) (visited int) {
+	h.reset()
+	dq, order := s.cdist[:len(ix.radius)], s.corder[:len(ix.radius)]
+	for c := range dq {
+		dq[c], order[c] = math.Sqrt(linalg.SquaredEuclidean(ix.centres.Row(c), q)), c
+		if dq[c] < dq[order[0]] {
+			order[0], order[c] = c, order[0]
+		}
+	}
+	for _, c := range order {
+		lb := dq[c]*(1-knnSkipEps) - ix.radius[c]*(1+knnSkipEps)
+		if len(h.dist) == h.k && lb > 0x1p-450 && lb*lb > h.dist[0] {
+			continue
+		}
+		lo, hi := ix.start[c], ix.start[c+1]
+		visited += hi - lo
+		for ; lo < hi && len(h.dist) < h.k; lo++ {
+			h.offer(linalg.SquaredEuclidean(ix.x.Row(lo), q), ix.orig[lo])
+		}
+		for step := knnFirstTile; lo < hi; lo, step = lo+step, min(2*step, knnTile) {
+			bound := math.Nextafter(h.dist[0], math.Inf(1))
+			m, _ := linalg.SquaredEuclideanPruned(s.dist, s.idx, q, ix.x, lo, min(lo+step, hi), bound, knnCheckpoint)
+			for j, dist := range s.dist[:m] {
+				h.offer(dist, ix.orig[s.idx[j]])
+			}
+		}
+	}
+	return visited
 }
 
 // kHeap keeps the k nearest (distance, training index) pairs seen so far as

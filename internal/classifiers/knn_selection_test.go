@@ -298,3 +298,39 @@ func TestKNNConcurrentPredict(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestKNNIndexBuildsOnce starts a fitted model's first calls concurrently,
+// as the sharded predict of one request does: exactly one of them builds
+// the cluster index, every shard gets the oracle's labels, and later calls
+// reuse the index.
+func TestKNNIndexBuildsOnce(t *testing.T) {
+	x, y, queries := clusteredData()
+	knn := &KNN{params: bound("knn", Params{"n_neighbors": 5})}
+	if err := knn.Fit(x, y, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := referenceKNNPredict(knn, queries)
+	before := knnIndexBuilds.Load()
+	for round := 0; round < 2; round++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for lo := 0; lo < len(queries); lo += knnIndexMinQueries {
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				<-start
+				if got := knn.Predict(queries[lo:hi]); !slices.Equal(got, want[lo:hi]) {
+					t.Errorf("round %d: rows %d..%d differ from the full sort", round, lo, hi)
+				}
+			}(lo, min(lo+knnIndexMinQueries, len(queries)))
+		}
+		close(start)
+		wg.Wait()
+	}
+	if builds := knnIndexBuilds.Load() - before; builds != 1 {
+		t.Fatalf("%d index builds, want 1", builds)
+	}
+	if ix := knn.index.Load(); ix == nil || ix == noKNNIndex {
+		t.Fatal("the clustered model did not keep its index")
+	}
+}

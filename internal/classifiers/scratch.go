@@ -33,17 +33,19 @@ func putScratch(sp *[]float64) {
 
 // knnScratch is the work state of one Euclidean kNN predict: a bounded heap
 // per query of a block, carved from two flat backings, and the survivor
-// (distance, row) cells SquaredEuclideanPruned fills for one training tile.
-// Its size follows k and the fixed block and tile shapes, not the training
-// set or the batch.
+// (distance, row) cells SquaredEuclideanPruned fills for one training tile,
+// plus a query's distance to each cluster centre and the order it visits
+// the clusters in. Its size follows k and the fixed block, tile and index
+// shapes, not the training set or the batch.
 type knnScratch struct {
-	heaps       []kHeap
-	hdist, dist []float64
-	hidx, idx   []int
+	heaps              []kHeap
+	hdist, dist, cdist []float64
+	hidx, idx, corder  []int
 }
 
 var knnScratchPool = sync.Pool{New: func() any {
-	return &knnScratch{dist: make([]float64, knnTile), idx: make([]int, knnTile)}
+	return &knnScratch{dist: make([]float64, knnTile), idx: make([]int, knnTile),
+		cdist: make([]float64, knnCentres), corder: make([]int, knnCentres)}
 }}
 
 // getKNNScratch returns pooled scratch holding `queries` empty heaps of

@@ -14,6 +14,7 @@
 package perf
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -68,7 +69,7 @@ func (e Env) String() string {
 	}
 	parts = append(parts, fmt.Sprintf("gomaxprocs=%d", e.GOMAXPROCS), fmt.Sprintf("numcpu=%d", e.NumCPU))
 	if e.GitSHA != "" {
-		parts = append(parts, "sha="+shortSHA(e.GitSHA))
+		parts = append(parts, "sha="+telemetry.ShortSHA(e.GitSHA))
 	}
 	if e.CPUModel != "" {
 		parts = append(parts, e.CPUModel)
@@ -82,13 +83,6 @@ func (e Env) String() string {
 func (e Env) Same(o Env) bool {
 	return e.GoVersion == o.GoVersion && e.GOOS == o.GOOS && e.GOARCH == o.GOARCH &&
 		e.NumCPU == o.NumCPU && e.GOMAXPROCS == o.GOMAXPROCS
-}
-
-func shortSHA(sha string) string {
-	if len(sha) > 12 {
-		return sha[:12]
-	}
-	return sha
 }
 
 // CurrentEnv fingerprints the running process: toolchain and CPU budget
@@ -107,19 +101,27 @@ func CurrentEnv() Env {
 		CPUModel:   cpuModel(),
 	}
 	if env.GitSHA == "" {
-		env.GitSHA = gitHead()
+		env.GitSHA = gitHead(".")
 	}
 	return env
 }
 
-// gitHead asks git for the current commit. Test binaries and `go run`
+// gitHead asks git for the commit checked out in dir, suffixed "-dirty"
+// when tracked files differ from it (as telemetry.Fingerprint marks a
+// modified build), so a record measured on uncommitted changes does not
+// carry the SHA of the commit beneath them. Test binaries and `go run`
 // builds carry no VCS stamp, so this is the path that usually fires.
-func gitHead() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+func gitHead(dir string) string {
+	out, err := exec.Command("git", "-C", dir, "rev-parse", "HEAD").Output()
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	sha := strings.TrimSpace(string(out))
+	status, err := exec.Command("git", "-C", dir, "status", "--porcelain", "--untracked-files=no").Output()
+	if err != nil || len(bytes.TrimSpace(status)) > 0 {
+		sha += "-dirty"
+	}
+	return sha
 }
 
 // cpuModel reads the first "model name" line from /proc/cpuinfo; empty on

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -48,7 +49,7 @@ type BuildFingerprint struct {
 	GoVersion  string
 	GOMAXPROCS int
 	NumCPU     int
-	GitSHA     string // VCS revision from build info; often empty for go run / test binaries
+	GitSHA     string // VCS revision from build info, "-dirty" if modified; often empty for go run / test binaries
 }
 
 // String renders the fingerprint on one line.
@@ -56,11 +57,7 @@ func (f BuildFingerprint) String() string {
 	s := f.GoVersion + " " + runtime.GOOS + "/" + runtime.GOARCH +
 		" gomaxprocs=" + strconv.Itoa(f.GOMAXPROCS) + " numcpu=" + strconv.Itoa(f.NumCPU)
 	if f.GitSHA != "" {
-		sha := f.GitSHA
-		if len(sha) > 12 {
-			sha = sha[:12]
-		}
-		s += " sha=" + sha
+		s += " sha=" + ShortSHA(f.GitSHA)
 	}
 	return s
 }
@@ -79,16 +76,44 @@ func Fingerprint() BuildFingerprint {
 			NumCPU:    runtime.NumCPU(),
 		}
 		if bi, ok := debug.ReadBuildInfo(); ok {
-			for _, s := range bi.Settings {
-				if s.Key == "vcs.revision" {
-					fingerprintVal.GitSHA = s.Value
-				}
-			}
+			fingerprintVal.GitSHA = vcsRevision(bi.Settings)
 		}
 	})
 	fp := fingerprintVal
 	fp.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	return fp
+}
+
+// vcsRevision is the build's vcs.revision, suffixed "-dirty" when
+// vcs.modified says the tree had uncommitted changes, so a number measured
+// on a modified tree is not credited to the commit beneath it.
+func vcsRevision(settings []debug.BuildSetting) string {
+	rev, modified := "", false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			modified = s.Value == "true"
+		}
+	}
+	if rev != "" && modified {
+		rev += "-dirty"
+	}
+	return rev
+}
+
+// ShortSHA abbreviates a revision to 12 hex digits, keeping a "-dirty"
+// suffix.
+func ShortSHA(sha string) string {
+	sha, dirty := strings.CutSuffix(sha, "-dirty")
+	if len(sha) > 12 {
+		sha = sha[:12]
+	}
+	if dirty {
+		sha += "-dirty"
+	}
+	return sha
 }
 
 // SetBuildInfo registers the mlaas_build_info gauge in reg: value 1, with

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -43,6 +44,31 @@ func TestFingerprintString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("fingerprint %q missing %q", s, want)
 		}
+	}
+}
+
+// A build from a modified tree is stamped "<revision>-dirty", and the
+// short form keeps the suffix.
+func TestVCSRevisionDirty(t *testing.T) {
+	const rev = "0123456789abcdef0123456789abcdef01234567"
+	for _, tc := range []struct {
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{nil, ""},
+		{[]debug.BuildSetting{{Key: "vcs.modified", Value: "true"}}, ""},
+		{[]debug.BuildSetting{{Key: "vcs.revision", Value: rev}, {Key: "vcs.modified", Value: "false"}}, rev},
+		{[]debug.BuildSetting{{Key: "vcs.modified", Value: "true"}, {Key: "vcs.revision", Value: rev}}, rev + "-dirty"},
+	} {
+		if got := vcsRevision(tc.settings); got != tc.want {
+			t.Errorf("vcsRevision(%v) = %q, want %q", tc.settings, got, tc.want)
+		}
+	}
+	if got := ShortSHA(rev + "-dirty"); got != "0123456789ab-dirty" {
+		t.Errorf("ShortSHA = %q", got)
+	}
+	if got := ShortSHA("abc"); got != "abc" {
+		t.Errorf("ShortSHA(abc) = %q", got)
 	}
 }
 
