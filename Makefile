@@ -4,8 +4,9 @@
 # TestRunAnalysesServedTraces, mlaas-trace over a served trace export), the
 # race detector over the concurrency-bearing packages (telemetry, service,
 # client, wire, store, cluster, the parallel sweep engine in
-# core/pipeline/platforms, and the pooled predict scratch and tree-fit
-# memory in classifiers), a one-iteration kernel-benchmark smoke, a wire
+# core/pipeline/platforms with the progress tracker its pool goroutines
+# advance, and the pooled predict scratch and tree-fit memory in
+# classifiers), a one-iteration kernel-benchmark smoke, a wire
 # smoke (binary-vs-JSON equivalence over a live server,
 # concurrent clients over both codecs with the model cache off and on, and
 # the decoder fuzz seed corpus), a store smoke, a perf-tracking smoke
@@ -42,9 +43,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# The core race run is restricted to the parallel-engine tests: racing the
-# whole analysis suite re-runs the shared 8-dataset sweep under the race
+# The core race run is restricted to the parallel-engine tests and
+# TestProgressTrackerDuringSweep (pool goroutines advance the tracker's
+# counters while the progress callback reads them): racing the whole
+# analysis suite re-runs the shared 8-dataset sweep under the race
 # detector, which triples check time without exercising new interleavings.
+# The fleet sweep runs the same engine and stays out: one fleet case takes
+# minutes under -race.
 # classifiers and linalg likewise race only what shares state between
 # calls: the pooled forward-pass scratch (kNN heaps and survivor cells
 # reused across tiles, MLP row blocks) and the kernels that fill it, a kNN
@@ -52,7 +57,7 @@ test:
 # the pooled growth memory of tree-family fits.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'TestParallel|TestSweepCancellation' ./internal/core
+	$(GO) test -race -run 'TestParallel|TestSweepCancellation|TestProgressTrackerDuringSweep' ./internal/core
 	$(GO) test -race -run 'TestPredict|TestKNN|TestSquaredEuclidean|TestPresort|TestPooledTreeFitsByteIdentical' ./internal/classifiers ./internal/linalg
 
 check: fmt vet test race bench-kernels wire-smoke store-smoke perf-smoke cluster-smoke bench-e2e-smoke no-strays

@@ -10,8 +10,10 @@ import (
 	"testing"
 )
 
-// metricNamesFile declares every shared metric name as a string constant.
-const metricNamesFile = "internal/telemetry/names.go"
+// telemetryDir declares every metric name as a string constant: the shared
+// names in names.go, the runtime-health names in health.go and the stage
+// histogram in telemetry.go.
+const telemetryDir = "internal/telemetry"
 
 // metricReports names the code outside tests that reads metrics by name
 // into a report: a function in a file, whose body counts as a reader of
@@ -26,43 +28,58 @@ var metricReports = []struct{ file, fn string }{
 // list may only shrink: a name that gains a reader must leave it, and a
 // new name must come with a reader.
 var unreadMetrics = map[string]bool{
-	"mlaas_sweep_inflight_workers":             true,
-	"mlaas_sweep_unit_duration_seconds":        true,
 	"mlaas_store_load_duration_seconds":        true,
 	"mlaas_router_replica_state_changes_total": true,
 }
 
-// metricConstants maps each string constant of names.go to its value.
+// metricConstants maps each metric-name constant of the telemetry package
+// (a string constant whose value starts with "mlaas_") to its value.
 func metricConstants(t *testing.T) map[string]string {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), metricNamesFile, nil, 0)
+	files, err := filepath.Glob(filepath.Join(telemetryDir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	consts := map[string]string{}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
+	for _, p := range files {
+		if strings.HasSuffix(p, "_test.go") {
 			continue
 		}
-		for _, spec := range gd.Specs {
-			vs := spec.(*ast.ValueSpec)
-			for i, name := range vs.Names {
-				if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					consts[name.Name], _ = strconv.Unquote(lit.Value)
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if i >= len(vs.Values) {
+						break
+					}
+					lit, ok := vs.Values[i].(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						continue
+					}
+					if v, _ := strconv.Unquote(lit.Value); strings.HasPrefix(v, "mlaas_") {
+						consts[name.Name] = v
+					}
 				}
 			}
 		}
 	}
 	if len(consts) == 0 {
-		t.Fatalf("no string constants in %s", metricNamesFile)
+		t.Fatalf("no metric-name constants in %s", telemetryDir)
 	}
 	return consts
 }
 
-// TestMetricCensus requires every metric name in names.go to have a
-// reader: a test that names it, or one of metricReports. A metric nobody
-// reads is a signal nobody consumes.
+// TestMetricCensus requires every metric name the telemetry package
+// declares to have a reader: a test that names it, or one of metricReports.
+// A metric nobody reads is a signal nobody consumes.
 func TestMetricCensus(t *testing.T) {
 	consts := metricConstants(t)
 	byValue := map[string]string{}
@@ -102,7 +119,7 @@ func TestMetricCensus(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		refs(f, filepath.Dir(p) == filepath.Dir(metricNamesFile))
+		refs(f, filepath.Dir(p) == telemetryDir)
 		return nil
 	})
 	for _, r := range metricReports {
@@ -132,7 +149,7 @@ func TestMetricCensus(t *testing.T) {
 	}
 	for value := range unreadMetrics {
 		if byValue[value] == "" {
-			t.Errorf("unreadMetrics lists %s, which %s no longer declares", value, metricNamesFile)
+			t.Errorf("unreadMetrics lists %s, which %s no longer declares", value, telemetryDir)
 		}
 	}
 }

@@ -18,11 +18,6 @@
 //	-seed S               measurement seed
 //	-workers N            sweep worker pool size (default: all CPUs; 1 = serial).
 //	                      Any worker count produces byte-identical measurements.
-//	-shards N             row shards per predict stage (default 1 = serial;
-//	                      0 = one per CPU). The pool already saturates the
-//	                      cores, so raise this only for low-config sweeps
-//	                      with huge test sets. Predictions are byte-identical
-//	                      at any shard count.
 //	-cache FILE           persist/reuse the sweep's raw measurements
 //	-fleet URLS           shard the sweep across a fleet of mlaas-server
 //	                      replicas (comma-separated base URLs); each
@@ -75,7 +70,6 @@ func main() {
 	maxDatasets := flag.Int("datasets", 0, "limit corpus size (0 = all 119)")
 	seed := flag.Uint64("seed", synth.CorpusSeed, "measurement seed")
 	workers := flag.Int("workers", runtime.NumCPU(), "sweep worker pool size (1 = serial)")
-	shards := flag.Int("shards", 1, "row shards per predict stage (1 = serial, 0 = one per CPU)")
 	verbose := flag.Bool("v", false, "progress logging")
 	cache := flag.String("cache", "", "sweep cache file: load if present, else run and save")
 	telemetrySummary := flag.Bool("telemetry", true, "print telemetry summary (stage latencies, counters) to stderr at exit")
@@ -122,7 +116,6 @@ func main() {
 			MaxDatasets:      *maxDatasets,
 			StorePredictions: true,
 			Workers:          *workers,
-			PredictShards:    *shards,
 			Tracker:          tracker,
 		}
 		if *verbose {
@@ -160,21 +153,23 @@ func main() {
 			}()
 			stopLine = func() { close(done); wg.Wait() }
 		}
-		if *fleet != "" {
-			var endpoints []string
-			for _, u := range strings.Split(*fleet, ",") {
-				if u = strings.TrimSpace(u); u != "" {
-					endpoints = append(endpoints, u)
-				}
+		var endpoints []string
+		for _, u := range strings.Split(*fleet, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				endpoints = append(endpoints, u)
 			}
+		}
+		if *fleet != "" && len(endpoints) == 0 {
+			fatal(fmt.Errorf("-fleet %q names no replica URL", *fleet))
+		}
+		if len(endpoints) > 0 {
 			fmt.Fprintf(os.Stderr, "running sharded measurement sweep (%d datasets, profile %s, %d workers, %d replicas)...\n",
 				datasetCount(*maxDatasets), profile.Name, *workers, len(endpoints))
-			sw, err = core.LoadOrRunSweepFleet(ctx, *cache, opts, endpoints)
 		} else {
 			fmt.Fprintf(os.Stderr, "running measurement sweep (%d datasets, profile %s, %d workers)...\n",
 				datasetCount(*maxDatasets), profile.Name, *workers)
-			sw, err = core.LoadOrRunSweep(ctx, *cache, opts)
 		}
+		sw, err = core.LoadOrRunSweep(ctx, *cache, opts, endpoints...)
 		if stopLine != nil {
 			stopLine()
 		}

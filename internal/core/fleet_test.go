@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -116,29 +117,25 @@ func checkFleetByteIdentical(t *testing.T, opts core.Options, fleetSizes ...int)
 	}
 }
 
-// TestFleetAssignmentsCoverAllUnits checks the dry-run view: every
-// (platform, dataset) unit maps to exactly one configured endpoint, and
-// with >1 endpoint the ring actually spreads units around.
-func TestFleetAssignmentsCoverAllUnits(t *testing.T) {
-	opts := core.Options{MaxDatasets: 10, Platforms: []string{"local", "google", "abm"}}
-	eps := []string{"http://a:1", "http://b:1", "http://c:1"}
-	got := core.FleetAssignments(opts, eps)
-	if len(got) != 30 {
-		t.Fatalf("%d assignments, want 30", len(got))
+// TestLoadOrRunSweepOnAFleet runs a sweep through LoadOrRunSweep on one
+// replica and reads the cache it saved back without endpoints: fleet and
+// in-process sweeps share one cache.
+func TestLoadOrRunSweepOnAFleet(t *testing.T) {
+	opts := fleetOpts()
+	opts.MaxDatasets = 1
+	opts.Platforms = []string{"google"}
+	path := filepath.Join(t.TempDir(), "sweep.json.gz")
+	ctx := context.Background()
+	ran, err := core.LoadOrRunSweep(ctx, path, opts, startReplicas(t, 1)...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	used := map[string]bool{}
-	valid := map[string]bool{}
-	for _, e := range eps {
-		valid[e] = true
+	loaded, err := core.LoadOrRunSweep(ctx, path, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for unit, ep := range got {
-		if !valid[ep] {
-			t.Fatalf("unit %s assigned to unknown endpoint %s", unit, ep)
-		}
-		used[ep] = true
-	}
-	if len(used) < 2 {
-		t.Fatalf("all 30 units landed on one endpoint; ring is not spreading")
+	if !reflect.DeepEqual(loaded.ByPlatform, ran.ByPlatform) {
+		t.Fatal("cached fleet sweep differs from the sweep that saved it")
 	}
 }
 

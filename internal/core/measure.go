@@ -38,12 +38,6 @@ type Options struct {
 	// config), so results do not depend on execution order, and the engine
 	// merges them back into corpus order.
 	Workers int
-	// PredictShards bounds how many goroutines each measurement's predict
-	// stage may fan its test rows across (0 = 1 = serial). The sweep pool
-	// already saturates the cores with independent configs, so intra-predict
-	// sharding is opt-in here — useful for low-config, huge-test-set runs.
-	// Predictions are byte-identical at any shard count.
-	PredictShards int
 	// Progress, if non-nil, receives one line per (platform, dataset).
 	// Calls are serialized, but with Workers > 1 their order follows unit
 	// completion, not corpus order.
@@ -114,12 +108,34 @@ type Sweep struct {
 // wall-clock Micros field). The context cancels the sweep between
 // configurations.
 func RunSweep(ctx context.Context, opts Options) (*Sweep, error) {
+	return runSweep(ctx, opts, runUnit)
+}
+
+// unitRunner measures every config of one plan on one split — one
+// (platform, dataset) unit. The returned slice aligns with plan.configs; a
+// nil return means the unit failed or was cancelled, with the error on the
+// pool. cache is the split's FEAT cache, shared by every platform measuring
+// it.
+type unitRunner func(pl *pool, plan unitPlan, sp dataset.Split, dsName string, opts Options, cache *pipeline.FeatCache) []Measurement
+
+// withDefaults fills the options every sweep and cache resolve the same
+// way: the quick profile and the corpus seed.
+func withDefaults(opts Options) Options {
 	if opts.Profile.Name == "" {
 		opts.Profile = synth.Quick
 	}
 	if opts.Seed == 0 {
 		opts.Seed = synth.CorpusSeed
 	}
+	return opts
+}
+
+// runSweep is the one sweep engine: it plans the platforms, generates and
+// splits each dataset inside the pool, hands every (platform, dataset) unit
+// to run, and merges the results back into corpus order. Where a unit's
+// measurements are taken is run's business alone.
+func runSweep(ctx context.Context, opts Options, run unitRunner) (*Sweep, error) {
+	opts = withDefaults(opts)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -222,7 +238,7 @@ func RunSweep(ctx context.Context, opts Options) (*Sweep, error) {
 				unitWG.Add(1)
 				go func(pi int) {
 					defer unitWG.Done()
-					ms := runUnit(pl, plans[pi], sp, ds.Name, opts, cache)
+					ms := run(pl, plans[pi], sp, ds.Name, opts, cache)
 					if ms == nil {
 						return // failed or cancelled mid-unit; the pool holds the error
 					}
@@ -280,13 +296,11 @@ func planUnit(p platforms.Platform) (unitPlan, error) {
 	}, nil
 }
 
-// runUnit measures every config of one plan on one split, fanning config
-// batches across the pool. The returned slice aligns with plan.configs. A
-// nil return means the unit failed or was cancelled; failures are recorded
-// on the pool with platform/dataset context attached.
+// runUnit is the in-process unitRunner: it measures a unit's configs here,
+// fanning config batches across the pool. Failures are recorded on the pool
+// with platform/dataset context attached.
 func runUnit(pl *pool, plan unitPlan, sp dataset.Split, dsName string, opts Options, cache *pipeline.FeatCache) []Measurement {
 	out := make([]Measurement, len(plan.configs))
-	unitStart := time.Now()
 	// Batch size targets ~4 batches per worker per unit for load balance
 	// without drowning the pool in tiny tasks.
 	chunk := (len(plan.configs) + 4*cap(pl.slots) - 1) / (4 * cap(pl.slots))
@@ -320,8 +334,6 @@ func runUnit(pl *pool, plan unitPlan, sp dataset.Split, dsName string, opts Opti
 		}(lo, hi)
 	}
 	batchWG.Wait()
-	telemetry.RegistryFrom(pl.ctx).Histogram(telemetry.SweepUnitHistogram, "platform", plan.platform.Name()).
-		Observe(time.Since(unitStart).Seconds())
 	if pl.ctx.Err() != nil {
 		return nil
 	}
@@ -335,9 +347,6 @@ func runUnit(pl *pool, plan unitPlan, sp dataset.Split, dsName string, opts Opti
 func measureOne(ctx context.Context, plan unitPlan, cfg pipeline.Config, sp dataset.Split, dsName string, opts Options, cache *pipeline.FeatCache) (Measurement, error) {
 	p := plan.platform
 	mctx, span := telemetry.StartSpan(ctx, "measure")
-	if opts.PredictShards > 1 {
-		mctx = pipeline.WithPredictShards(mctx, opts.PredictShards)
-	}
 	span.SetAttr("platform", p.Name()).SetAttr("dataset", dsName)
 	if !plan.blackBox {
 		span.SetAttr("config", cfg.String())
@@ -350,18 +359,29 @@ func measureOne(ctx context.Context, plan unitPlan, cfg pipeline.Config, sp data
 		return Measurement{}, err
 	}
 	span.End()
+	return plan.measurement(cfg, dsName, res.Scores, res.Pred, start, opts), nil
+}
+
+// measurement packs one config's outcome the same way wherever it was
+// measured. White boxes echo the swept config; black boxes report only
+// their automatic mode, the way the services do, so §6.2 has to infer the
+// family from Pred. Micros is the wall-clock time since start.
+func (plan unitPlan) measurement(cfg pipeline.Config, dsName string, scores metrics.Scores, pred []int, start time.Time, opts Options) Measurement {
 	m := Measurement{
-		Platform: p.Name(),
+		Platform: plan.platform.Name(),
 		Dataset:  dsName,
-		Config:   res.Config,
-		Scores:   res.Scores,
+		Config:   cfg,
+		Scores:   scores,
 		Baseline: plan.blackBox || cfg.String() == plan.baseKey,
 		Micros:   time.Since(start).Microseconds(),
 	}
-	if opts.StorePredictions {
-		m.Pred = packPred(res.Pred)
+	if plan.blackBox {
+		m.Config = pipeline.Config{Classifier: "auto", Params: classifiers.Params{}}
 	}
-	return m, nil
+	if opts.StorePredictions {
+		m.Pred = packPred(pred)
+	}
+	return m
 }
 
 // measurePlatform runs every configuration of one platform on one split,

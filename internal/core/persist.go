@@ -8,9 +8,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 
-	"mlaasbench/internal/synth"
+	"mlaasbench/internal/platforms"
 )
 
 // Sweep persistence: a full-corpus sweep takes minutes, so mlaas-bench and
@@ -21,15 +22,30 @@ import (
 
 // sweepFile is the on-disk representation.
 type sweepFile struct {
-	Version  int                                 `json:"version"`
-	Profile  string                              `json:"profile"`
-	Seed     uint64                              `json:"seed"`
-	MaxData  int                                 `json:"max_datasets"`
-	Datasets []DatasetInfo                       `json:"datasets"`
-	Measures map[string]map[string][]Measurement `json:"measurements"`
+	Version   int                                 `json:"version"`
+	Profile   string                              `json:"profile"`
+	Seed      uint64                              `json:"seed"`
+	MaxData   int                                 `json:"max_datasets"`
+	Platforms []string                            `json:"platforms"`
+	StorePred bool                                `json:"store_predictions"`
+	Datasets  []DatasetInfo                       `json:"datasets"`
+	Measures  map[string]map[string][]Measurement `json:"measurements"`
 }
 
-const sweepFileVersion = 1
+// Version 2 records the platform list and StorePredictions.
+const sweepFileVersion = 2
+
+// sweepPlatforms is the sorted platform list opts asks for (nil = all
+// seven): the order a sweep is asked in does not change what it measures.
+func sweepPlatforms(opts Options) []string {
+	names := opts.Platforms
+	if len(names) == 0 {
+		names = platforms.Names()
+	}
+	names = slices.Clone(names)
+	slices.Sort(names)
+	return names
+}
 
 // Save writes the sweep's measurements as gzipped JSON.
 func (s *Sweep) Save(path string) error {
@@ -41,12 +57,14 @@ func (s *Sweep) Save(path string) error {
 	zw := gzip.NewWriter(f)
 	enc := json.NewEncoder(zw)
 	file := sweepFile{
-		Version:  sweepFileVersion,
-		Profile:  s.Opts.Profile.Name,
-		Seed:     s.Opts.Seed,
-		MaxData:  s.Opts.MaxDatasets,
-		Datasets: s.Datasets,
-		Measures: s.ByPlatform,
+		Version:   sweepFileVersion,
+		Profile:   s.Opts.Profile.Name,
+		Seed:      s.Opts.Seed,
+		MaxData:   s.Opts.MaxDatasets,
+		Platforms: sweepPlatforms(s.Opts),
+		StorePred: s.Opts.StorePredictions,
+		Datasets:  s.Datasets,
+		Measures:  s.ByPlatform,
 	}
 	if err := enc.Encode(file); err != nil {
 		return fmt.Errorf("core: encode cache: %w", err)
@@ -58,8 +76,9 @@ func (s *Sweep) Save(path string) error {
 }
 
 // LoadSweep reads a cached sweep. The options must match the cache's
-// recorded profile/seed/limit exactly; a mismatch returns an error rather
-// than mixing incompatible measurements.
+// recorded profile, seed, dataset limit, platforms and StorePredictions
+// exactly; a mismatch returns an error rather than mixing incompatible
+// measurements.
 func LoadSweep(path string, opts Options) (*Sweep, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -78,15 +97,14 @@ func LoadSweep(path string, opts Options) (*Sweep, error) {
 	if file.Version != sweepFileVersion {
 		return nil, fmt.Errorf("core: cache version %d, want %d", file.Version, sweepFileVersion)
 	}
-	if opts.Profile.Name == "" {
-		opts.Profile = synth.Quick
-	}
-	if opts.Seed == 0 {
-		opts.Seed = synth.CorpusSeed
-	}
-	if file.Profile != opts.Profile.Name || file.Seed != opts.Seed || file.MaxData != opts.MaxDatasets {
-		return nil, fmt.Errorf("core: cache was built with profile=%s seed=%d datasets=%d, asked for profile=%s seed=%d datasets=%d",
-			file.Profile, file.Seed, file.MaxData, opts.Profile.Name, opts.Seed, opts.MaxDatasets)
+	opts = withDefaults(opts)
+	plats := sweepPlatforms(opts)
+	if file.Profile != opts.Profile.Name || file.Seed != opts.Seed || file.MaxData != opts.MaxDatasets ||
+		!slices.Equal(file.Platforms, plats) || file.StorePred != opts.StorePredictions {
+		return nil, fmt.Errorf("core: cache was built with profile=%s seed=%d datasets=%d platforms=%v predictions=%t, "+
+			"asked for profile=%s seed=%d datasets=%d platforms=%v predictions=%t",
+			file.Profile, file.Seed, file.MaxData, file.Platforms, file.StorePred,
+			opts.Profile.Name, opts.Seed, opts.MaxDatasets, plats, opts.StorePredictions)
 	}
 	return &Sweep{
 		Opts:       opts,
@@ -97,7 +115,9 @@ func LoadSweep(path string, opts Options) (*Sweep, error) {
 
 // LoadOrRunSweep returns the cached sweep when path exists and matches
 // opts; otherwise it runs the sweep and (when path is non-empty) caches it.
-func LoadOrRunSweep(ctx context.Context, path string, opts Options) (*Sweep, error) {
+// With endpoints the sweep runs on that fleet (RunSweepFleet), else in
+// process; the two are byte-identical, so one cache serves both.
+func LoadOrRunSweep(ctx context.Context, path string, opts Options, endpoints ...string) (*Sweep, error) {
 	if path != "" {
 		if _, err := os.Stat(path); err == nil {
 			sw, err := LoadSweep(path, opts)
@@ -109,7 +129,11 @@ func LoadOrRunSweep(ctx context.Context, path string, opts Options) (*Sweep, err
 			return nil, err
 		}
 	}
-	sw, err := RunSweep(ctx, opts)
+	run := RunSweep
+	if len(endpoints) > 0 {
+		run = func(ctx context.Context, opts Options) (*Sweep, error) { return RunSweepFleet(ctx, opts, endpoints) }
+	}
+	sw, err := run(ctx, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -58,6 +58,40 @@ func TestLoadSweepRejectsMismatchedOptions(t *testing.T) {
 	if _, err := LoadSweep(path, opts); err == nil {
 		t.Fatal("mismatched dataset limit must be rejected")
 	}
+	// The cache holds all seven platforms: a one-platform request is not
+	// what it measured, and neither is any other subset.
+	opts = sw.Opts
+	opts.Platforms = []string{"google"}
+	if _, err := LoadSweep(path, opts); err == nil {
+		t.Fatal("mismatched platform list must be rejected")
+	}
+	// The cache holds predictions; a request without them differs too.
+	opts = sw.Opts
+	opts.StorePredictions = false
+	if _, err := LoadSweep(path, opts); err == nil {
+		t.Fatal("mismatched StorePredictions must be rejected")
+	}
+	// The reverse of both: a google-only cache without predictions must
+	// not stand in for a seven-platform sweep that keeps them.
+	small := &Sweep{
+		Opts:       Options{Profile: sw.Opts.Profile, Seed: sw.Opts.Seed, MaxDatasets: sw.Opts.MaxDatasets, Platforms: []string{"google"}},
+		ByPlatform: map[string]map[string][]Measurement{"google": {}},
+	}
+	if err := small.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSweep(path, sw.Opts); err == nil {
+		t.Fatal("google-only cache without predictions loaded for a full request")
+	}
+	if err := sw.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	// The order a platform list is asked in does not matter.
+	opts = sw.Opts
+	opts.Platforms = []string{"abm", "google", "amazon", "bigml", "predictionio", "microsoft", "local"}
+	if _, err := LoadSweep(path, opts); err != nil {
+		t.Fatalf("same platforms in another order rejected: %v", err)
+	}
 }
 
 func TestLoadSweepRejectsGarbage(t *testing.T) {

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"sync"
-
-	"mlaasbench/internal/telemetry"
 )
 
 // pool bounds the sweep's concurrency. Every leaf unit of work — one dataset
@@ -15,12 +13,10 @@ import (
 // design deadlock-free under nested fan-out.
 //
 // The first error cancels the pool's context; later failures are dropped.
-// Slot occupancy is exported as the telemetry.SweepWorkersGauge gauge.
 type pool struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	slots  chan struct{}
-	reg    *telemetry.Registry
 
 	errOnce sync.Once
 	err     error
@@ -30,9 +26,8 @@ func newPool(ctx context.Context, workers int) *pool {
 	if workers < 1 {
 		workers = 1
 	}
-	reg := telemetry.RegistryFrom(ctx)
 	ctx, cancel := context.WithCancel(ctx)
-	return &pool{ctx: ctx, cancel: cancel, slots: make(chan struct{}, workers), reg: reg}
+	return &pool{ctx: ctx, cancel: cancel, slots: make(chan struct{}, workers)}
 }
 
 // acquire blocks until a slot is free and returns true, or returns false
@@ -50,13 +45,11 @@ func (p *pool) acquire() bool {
 		p.fail(p.ctx.Err())
 		return false
 	}
-	p.reg.Gauge(telemetry.SweepWorkersGauge).Inc()
 	return true
 }
 
 // release returns a slot acquired with acquire.
 func (p *pool) release() {
-	p.reg.Gauge(telemetry.SweepWorkersGauge).Dec()
 	<-p.slots
 }
 

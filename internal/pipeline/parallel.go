@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"runtime"
 	"sync"
 )
@@ -11,29 +10,10 @@ import (
 // rows, so goroutine overhead can't exceed the compute it parallelizes.
 const minRowsPerShard = 16
 
-type predictShardsKey struct{}
-
-// WithPredictShards sets the shard count PredictShardsFrom reports for this
-// context — how many goroutines Run's predict/score stage may fan a test
-// set across. It follows the core scheduler's worker-count convention:
-// values <= 0 mean "one shard per CPU".
-func WithPredictShards(ctx context.Context, shards int) context.Context {
-	return context.WithValue(ctx, predictShardsKey{}, shards)
-}
-
-// PredictShardsFrom returns the shard count carried by ctx, defaulting to 1
-// (serial) — inside the sweep the worker pool already saturates the cores,
-// so intra-prediction parallelism is opt-in there.
-func PredictShardsFrom(ctx context.Context) int {
-	if v, ok := ctx.Value(predictShardsKey{}).(int); ok {
-		return v
-	}
-	return 1
-}
-
 // ShardCount resolves the effective number of shards for a batch of the
-// given row count: shards <= 0 means one per CPU (the core scheduler's
-// convention), then capped so every shard has at least minRowsPerShard rows.
+// given row count: shards <= 0 means one per CPU (the server's
+// -predict-shards default), then capped so every shard has at least
+// minRowsPerShard rows.
 func ShardCount(rows, shards int) int {
 	if shards <= 0 {
 		shards = runtime.NumCPU()

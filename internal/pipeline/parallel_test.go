@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"testing"
 
 	"mlaasbench/internal/classifiers"
@@ -58,18 +57,6 @@ func TestParallelPredictMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPredictShardsContext checks the context plumbing RunCtx's predict
-// stage reads, including the serial default.
-func TestPredictShardsContext(t *testing.T) {
-	ctx := context.Background()
-	if got := PredictShardsFrom(ctx); got != 1 {
-		t.Fatalf("default shards = %d, want 1", got)
-	}
-	if got := PredictShardsFrom(WithPredictShards(ctx, 6)); got != 6 {
-		t.Fatalf("shards = %d, want 6", got)
-	}
-}
-
 func TestShardCount(t *testing.T) {
 	cases := []struct{ rows, shards, want int }{
 		{0, 4, 1},     // empty batch never splits
@@ -86,7 +73,7 @@ func TestShardCount(t *testing.T) {
 			t.Errorf("ShardCount(%d, %d) = %d, want %d", c.rows, c.shards, got, c.want)
 		}
 	}
-	// shards <= 0 follows the scheduler convention: one per CPU, still
+	// shards <= 0 means one per CPU, still
 	// subject to the per-shard row floor.
 	if got := ShardCount(16, 0); got != 1 {
 		t.Errorf("ShardCount(16, 0) = %d, want 1", got)

@@ -125,7 +125,7 @@ func Run(ctx context.Context, cfg Config, train, test *dataset.Dataset, r *rng.R
 		return Result{}, fmt.Errorf("pipeline: fit %s on %s: %w", cfg.Classifier, train.Name, err)
 	}
 	stopPredict := telemetry.TimeCtx(ctx, "predict")
-	pred := PredictSharded(clf.Predict, v.test(ctx, test), PredictShardsFrom(ctx))
+	pred := clf.Predict(v.test(ctx, test))
 	stopPredict()
 	stopScore := telemetry.TimeCtx(ctx, "score")
 	scores, err := metrics.Score(test.Y, pred)

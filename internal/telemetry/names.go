@@ -1,18 +1,10 @@
 package telemetry
 
-// Shared metric names for the sweep engine. The producers live in
-// internal/core (scheduler) and internal/pipeline (FeatCache); naming them
-// here keeps the exposition surface documented in one place and lets the
-// summary describe them without importing the producers.
+// Shared metric names. The producers live in internal/pipeline (FeatCache),
+// internal/service, internal/cluster, internal/client and this package's
+// flight recorder; naming them here keeps the exposition surface documented in one place and
+// lets the summary describe them without importing the producers.
 const (
-	// SweepWorkersGauge tracks how many sweep pool workers are executing a
-	// unit of work (dataset generation or a config batch) right now.
-	SweepWorkersGauge = "mlaas_sweep_inflight_workers"
-
-	// SweepUnitHistogram records the wall-clock duration of one
-	// (platform, dataset) measurement unit, labeled by platform.
-	SweepUnitHistogram = "mlaas_sweep_unit_duration_seconds"
-
 	// FeatCacheHits / FeatCacheMisses count FEAT-transform cache lookups,
 	// labeled by FEAT kind ("scaler", "filter", "fisherlda"). A miss fits
 	// the transform; a hit reuses previously fitted matrices.
@@ -103,8 +95,6 @@ const (
 )
 
 func init() {
-	Default().Describe(SweepWorkersGauge, "Sweep pool workers currently executing a unit of work.")
-	Default().Describe(SweepUnitHistogram, "Duration of one (platform, dataset) measurement unit in seconds.")
 	Default().Describe(FeatCacheHits, "FEAT transform cache hits (transform reused).")
 	Default().Describe(FeatCacheMisses, "FEAT transform cache misses (transform fitted).")
 	Default().Describe(ModelCacheHits, "Fitted-model cache hits (resident model served).")
